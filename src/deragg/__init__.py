@@ -73,6 +73,7 @@ from .market import (
     build_supply_curve_direct,
     clear_market,
     closed_form_params,
+    der_curves,
     direct_affine_curve,
     price_of_aggregation,
 )

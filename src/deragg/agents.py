@@ -7,6 +7,7 @@ the day-ahead arbitrage margin on the pooled offer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ class UtilitySpec:
 
     def __post_init__(self):
         if self.kind == LINEAR:
-            if not self.gamma > 0.0:
-                raise ValidationError(f"linear utility needs gamma > 0, got {self.gamma}")
+            if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+                raise ValidationError(f"linear utility needs finite gamma > 0, got {self.gamma}")
             return
         if self.kind != TABULATED:
             raise ValidationError(f"unknown utility kind {self.kind!r}")
@@ -40,6 +41,8 @@ class UtilitySpec:
             raise ValidationError("tabulated utility needs at least two (z, marginal) points")
         z = np.asarray([p[0] for p in pts], dtype=float)
         m = np.asarray([p[1] for p in pts], dtype=float)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
+            raise ValidationError("tabulated utility points must be finite")
         if np.any(np.diff(z) <= 0.0):
             raise ValidationError("tabulated z grid must be strictly increasing")
         if np.any(m < 0.0) or np.any(np.diff(m) > 1e-12):
@@ -92,6 +95,9 @@ class GameScenario:
     def __post_init__(self):
         if int(self.n_prosumers) != self.n_prosumers or self.n_prosumers < 1:
             raise ValidationError(f"n_prosumers must be a positive integer, got {self.n_prosumers}")
+        for name in ("d0", "lambda_da", "lambda_rt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.d0 > self.capacity.cbar:
             raise ValidationError(
                 f"d0={self.d0} must exceed installed capacity cbar={self.capacity.cbar}"

@@ -49,6 +49,8 @@ class CapacityModel:
             raise ValidationError(f"unknown capacity kind {self.kind!r}")
         if not (math.isfinite(self.cbar) and self.cbar >= 0.0):
             raise ValidationError(f"cbar must be finite and >= 0, got {self.cbar}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValidationError(f"mu and sigma must be finite, got {self.mu}, {self.sigma}")
         if self.kind == DETERMINISTIC:
             if self.sigma != 0.0 or self.mu != self.cbar:
                 raise ValidationError("deterministic kind requires mu == cbar and sigma == 0")

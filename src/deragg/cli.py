@@ -8,15 +8,15 @@ Exit codes: 0 ok, 2 invalid scenario, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .agents import GameScenario, linear_utility
-from .capacity import DEPENDENT_UNIFORM, SQRT3, dependent_uniform
+from .capacity import SQRT3, dependent_uniform
 from .closedform import (
     UniformLinearParams,
     closed_form_equilibrium,
@@ -37,12 +37,11 @@ from .market import (
     MODE_SOCIAL,
     DispatchProblem,
     GeneratorSpec,
-    aggregated_affine_curve,
     build_supply_curve_aggregated,
     build_supply_curve_direct,
     clear_market,
     closed_form_params,
-    direct_affine_curve,
+    der_curves,
     price_of_aggregation,
 )
 from .penalty import penalty_shares
@@ -91,9 +90,14 @@ def _render_csv(meta: dict, columns, rows) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    # remove, then create: truncating the old file (or renaming over it)
+    # makes ext4 flush it on close (auto_da_alloc), which stalls every
+    # write when output is rerun into the same directory
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(out)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _meta(sf: ScenarioFile, seed: int, draws: int) -> dict:
@@ -124,34 +128,54 @@ def _resolve_draws(args, sf: ScenarioFile) -> int:
 
 
 def _penalty_axiom_issues(seed: int, instances: int = 10_000) -> list[str]:
-    """Randomized check of the five sharing axioms; returns violation notes."""
+    """Randomized check of the five sharing axioms; returns violation notes.
+
+    Instances are drawn and checked in batches of ``_AXIOM_BATCH``, one
+    ``penalty_shares`` call per batch; a single 10k-row batch would raise
+    the process's peak memory by several megabytes.
+    """
     rng = np.random.default_rng(seed)
-    issues = []
-    for _ in range(instances):
-        n = int(rng.integers(2, 9))
-        cbar = rng.uniform(1.0, 20.0)
-        x = rng.uniform(0.0, cbar, size=n)
-        c = rng.uniform(0.0, cbar, size=n)
-        j = int(rng.integers(0, n))
-        i = int(rng.integers(0, n))
-        c[j] = np.clip(x[j] - (x[i] - c[i]), 0.0, cbar)  # force one matched shortfall pair
-        lam = rng.uniform(0.0, 10.0)
-        shares = penalty_shares(x, c, lam)
-        pool = lam * max(x.sum() - c.sum(), 0.0)
-        if np.any(shares < 0.0):
-            issues.append("nonnegativity violated")
-        if abs(shares.sum() - pool) > 1e-9 * max(pool, 1.0):
-            issues.append("budget balance violated")
-        if np.any(shares[(x - c) <= 0.0] != 0.0):
-            issues.append("no-exploitation violated")
-        order = np.argsort(x - c)
-        if np.any(np.diff(shares[order]) < -1e-12):
-            issues.append("monotonicity violated")
-        if abs((x[i] - c[i]) - (x[j] - c[j])) <= 1e-12 and abs(shares[i] - shares[j]) > 1e-9:
-            issues.append("symmetry violated")
-        if issues:
-            break
-    return issues
+    failed = set()
+    for start in range(0, instances, _AXIOM_BATCH):
+        failed |= _axiom_violations(rng, min(_AXIOM_BATCH, instances - start))
+    return [f"{axiom} violated" for axiom in _AXIOMS if axiom in failed]
+
+
+_AXIOMS = ("nonnegativity", "budget balance", "no-exploitation", "monotonicity", "symmetry")
+_AXIOM_BATCH = 1_000
+
+
+def _axiom_violations(rng, k: int) -> set[str]:
+    """Axioms violated by ``k`` random instances of 2 to 8 prosumers.
+
+    Rows are padded to 8 prosumers with zero offers and capacities, which
+    owe nothing, and one pair per row is forced to equal shortfalls.
+    """
+    rows = np.arange(k)
+    n = rng.integers(2, 9, size=k)
+    cbar = rng.uniform(1.0, 20.0, size=k)
+    active = np.arange(8) < n[:, None]
+    x = np.where(active, rng.uniform(0.0, 1.0, (k, 8)) * cbar[:, None], 0.0)
+    c = np.where(active, rng.uniform(0.0, 1.0, (k, 8)) * cbar[:, None], 0.0)
+    i = rng.integers(0, n)
+    j = rng.integers(0, n)
+    c[rows, j] = np.clip(x[rows, j] - (x[rows, i] - c[rows, i]), 0.0, cbar)
+    lam = rng.uniform(0.0, 10.0, size=k)
+
+    shares = penalty_shares(x, c, lam)
+    pool = lam * np.maximum(x.sum(axis=1) - c.sum(axis=1), 0.0)
+    net = x - c
+    tied = np.abs(net[rows, i] - net[rows, j]) <= 1e-12
+    ranked = np.take_along_axis(shares, np.argsort(net, axis=1), axis=1)
+    holds = {
+        "nonnegativity": np.all(shares >= 0.0),
+        "budget balance":
+            np.all(np.abs(shares.sum(axis=1) - pool) <= 1e-9 * np.maximum(pool, 1.0)),
+        "no-exploitation": np.all(shares[net <= 0.0] == 0.0),
+        "monotonicity": np.all(np.diff(ranked, axis=1) >= -1e-12),
+        "symmetry": np.all(np.abs(shares[rows, i] - shares[rows, j])[tied] <= 1e-9),
+    }
+    return {axiom for axiom, ok in holds.items() if not ok}
 
 
 def cmd_validate(args) -> int:
@@ -174,7 +198,7 @@ def cmd_equilibrium(args) -> int:
     draws = _resolve_draws(args, sf)
     if args.mean_field:
         res, sol = meanfield_stackelberg(
-            sf.scenario, tol_rho=sf.solver.tol_rho, grid_points=sf.solver.rho_grid_points
+            sf.scenario, tol_x=sf.solver.tol_x, grid_points=sf.solver.rho_grid_points
         )
         columns = ["rho_star", "x_star", "aggregate_x", "leader_profit", "beta", "residual"]
         rows = [[res.rho_star, res.x_star, res.aggregate_x, res.leader_profit,
@@ -222,22 +246,6 @@ def cmd_supply_curve(args) -> int:
     return EXIT_OK
 
 
-def _curves_for(sf: ScenarioFile, source: str, draws: int, seed: int):
-    if source == "auto":
-        source = (
-            "closedform"
-            if sf.scenario.capacity.kind == DEPENDENT_UNIFORM
-            and sf.scenario.utility.kind == "linear"
-            else "numeric"
-        )
-    if source == "closedform":
-        params = closed_form_params(sf.scenario)
-        return aggregated_affine_curve(params), direct_affine_curve(params)
-    agg = build_supply_curve_aggregated(sf.scenario, draws=draws, seed=seed)
-    direct = build_supply_curve_direct(sf.scenario, draws=draws, seed=seed)
-    return agg, direct
-
-
 def cmd_dispatch(args) -> int:
     sf = load_scenario(args.file)
     seed = _resolve_seed(args, sf)
@@ -247,7 +255,7 @@ def cmd_dispatch(args) -> int:
             "noder": MODE_NODER, "social": MODE_SOCIAL}[args.mode]
     curve = None
     if mode != MODE_NODER:
-        agg, direct = _curves_for(sf, args.curve_source, draws, seed)
+        agg, direct, _ = der_curves(sf.scenario, args.curve_source, draws, seed)
         curve = agg if mode == MODE_AGGREGATED else direct
     outcome = clear_market(DispatchProblem(sf.generators, demand, curve, mode))
     columns = ["mode", "clearing_price", "cleared_der", "cleared_generation", "total_cost"]
@@ -323,10 +331,7 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args, sf)
     draws = _resolve_draws(args, sf)
     values = np.linspace(sf.sweep.start, sf.sweep.stop, sf.sweep.steps)
-    with ThreadPoolExecutor(max_workers=min(8, sf.sweep.steps)) as pool:
-        rows = list(
-            pool.map(lambda v: _sweep_point(sf, sf.sweep.parameter, float(v), draws, seed), values)
-        )
+    rows = [_sweep_point(sf, sf.sweep.parameter, float(v), draws, seed) for v in values]
     meta = _meta(sf, seed, draws)
     meta["sweep_parameter"] = sf.sweep.parameter
     _emit(_render_csv(meta, _SWEEP_COLUMNS, rows), args.out)
@@ -432,8 +437,7 @@ def cmd_figures(args) -> int:
     written = []
     for filename, columns, rows in _figure_tables(args.name):
         path = os.path.join(args.out, filename)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_render_csv(meta, columns, rows))
+        _emit(_render_csv(meta, columns, rows), path)
         written.append(path)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)

@@ -8,9 +8,19 @@ unique symmetric best response solves a scalar first-order condition
 where ``F`` is the joint capacity cdf on the diagonal and ``h`` is a
 correction active only for independent capacities at finite N: it accounts
 for outcomes in which rivals' surplus partially covers the pool shortfall.
-The aggregator then prices against the response curve x*(rho) with a grid
-search refined by golden section.  The large-N independent limit replaces
-the game with a scalar mean-field system in (beta, x*).
+Solved for rho instead of x, the same condition gives the inverse
+response explicitly,
+
+    rho(x) = E[u'(d0 + C - x)] + lambda_rt * (F(x, ..., x) + h(x)),
+
+which is nondecreasing in x.  The aggregator therefore searches over the
+pooled offer instead of the price: it maximizes (lambda_da - rho(x)) * N * x
+on a grid over [0, cbar] refined by golden section, one FOC evaluation per
+candidate, and posts rho* = rho(x*).  The large-N independent limit has the
+explicit inverse rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
+beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
+The forward responses x*(rho) (:func:`symmetric_follower_response`,
+:func:`meanfield_solve`) are bisections on these monotone conditions.
 """
 
 from __future__ import annotations
@@ -41,7 +51,6 @@ DEFAULT_TOL_X = 1e-8
 DEFAULT_TOL_RHO = 1e-6
 DEFAULT_GRID_POINTS = 512
 MAX_BISECT_ITER = 200
-MF_MAX_ITER = 500
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -165,6 +174,13 @@ def follower_foc_gap(
     return lhs - diag_cdf - h
 
 
+def _coverage_caps(scenario, draws, seed):
+    """Capacity draws behind the coverage term, sampled once per solve (or None)."""
+    if scenario.capacity.kind == IID_UNIFORM and scenario.n_prosumers >= 2:
+        return sample(scenario.capacity, scenario.n_prosumers, seed, draws)
+    return None
+
+
 def _response(scenario, rho, tol_x, draws, seed, caps=None):
     """Symmetric best response at one price; bisection on the FOC gap."""
     rho_min, rho_max = offer_price_bounds(scenario, draws=draws, seed=seed)
@@ -185,12 +201,35 @@ def _response(scenario, rho, tol_x, draws, seed, caps=None):
 
 def symmetric_follower_response(spec: FollowerFixedPointSpec) -> float:
     """Unique symmetric Nash offer x*(rho), with exact boundary handling."""
-    caps = None
-    sc = spec.scenario
-    if sc.capacity.kind == IID_UNIFORM and sc.n_prosumers >= 2:
-        caps = sample(sc.capacity, sc.n_prosumers, spec.seed, spec.draws)
-    x, _, _ = _response(sc, spec.rho, spec.tol_x, spec.draws, spec.seed, caps=caps)
+    caps = _coverage_caps(spec.scenario, spec.draws, spec.seed)
+    x, _, _ = _response(spec.scenario, spec.rho, spec.tol_x, spec.draws, spec.seed, caps=caps)
     return x
+
+
+class _InverseResponse:
+    """Memoised finite-N inverse response rho(x).
+
+    The FOC gap is affine in rho with slope 1/lambda_rt, so one gap
+    evaluation at the reference price ``rho_ref`` gives the price at which
+    ``x`` is the symmetric best response.  rho(x) does not depend on
+    lambda_da, so one instance serves the leader searches at every
+    wholesale price of a supply curve.
+    """
+
+    def __init__(self, scenario: GameScenario, rho_ref: float, draws: int, seed: int):
+        self.scenario, self.rho_ref, self.draws, self.seed = scenario, rho_ref, draws, seed
+        self.caps = _coverage_caps(scenario, draws, seed)
+        self._memo: dict[float, float] = {}
+
+    def gap(self, rho: float, x: float) -> float:
+        return follower_foc_gap(
+            self.scenario, rho, x, draws=self.draws, seed=self.seed, _caps=self.caps
+        )
+
+    def __call__(self, x: float) -> float:
+        if x not in self._memo:
+            self._memo[x] = self.rho_ref - self.scenario.lambda_rt * self.gap(self.rho_ref, x)
+        return self._memo[x]
 
 
 def stackelberg_solve(
@@ -203,92 +242,92 @@ def stackelberg_solve(
 ) -> EquilibriumResult:
     """Leader's optimal price against the symmetric response curve.
 
-    The price never exceeds lambda_da (profit would be negative), so the
-    search runs a uniform grid on the clipped price interval followed by
-    golden-section refinement around the best grid point.  The grid doubles
-    as a concavity diagnostic: nonpositive second differences of profit
-    certify the sufficient condition under which the maximizer is unique.
+    The leader picks the pooled offer: ``grid_points`` offers on [0, cbar]
+    and a golden-section refinement to ``tol_x`` each cost one FOC
+    evaluation, and the posted price is rho* = rho(x*).  With deterministic
+    capacity the optimum is explicit: the full capacity at ``tol_rho``
+    above the indifference price.
     """
+    bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
+    inverse = _InverseResponse(scenario, bounds[0], draws, seed)
+    return _leader_solve(scenario, inverse, bounds, tol_rho, tol_x, grid_points)
+
+
+def _leader_solve(scenario, inverse, bounds, tol_rho, tol_x, grid_points) -> EquilibriumResult:
+    """Finite-N leader optimum at the scenario's lambda_da against ``inverse``."""
     if grid_points < 4:
         raise ValidationError("grid_points must be at least 4")
     _warn_if_off_band(scenario)
-    rho_min, rho_max = offer_price_bounds(scenario, draws=draws, seed=seed)
-    lo = max(0.0, rho_min)
-    hi = min(scenario.lambda_da, rho_max)
+    lo = max(0.0, bounds[0])
+    hi = min(scenario.lambda_da, bounds[1])
     n = scenario.n_prosumers
-    caps = None
-    if scenario.capacity.kind == IID_UNIFORM and n >= 2:
-        caps = sample(scenario.capacity, n, seed, draws)
-
-    cache: dict[float, float] = {}
-    # solve followers well below tol_x so profit comparisons near the
-    # maximizer are not drowned by root-bracketing jitter
-    leader_tol_x = min(tol_x, 1e-10)
-
-    def response(rho):
-        if rho not in cache:
-            cache[rho], _, _ = _response(scenario, rho, leader_tol_x, draws, seed, caps=caps)
-        return cache[rho]
-
-    def profit(rho):
-        return (scenario.lambda_da - rho) * n * response(rho)
-
-    notes: list[str] = []
+    cbar = scenario.capacity.cbar
+    diag = SolverDiagnostics(0, 0, 0.0, True, False, inverse.seed, inverse.draws)
     if hi <= lo:
         # nothing to trade: every admissible price draws a zero offer
-        rho_star = min(scenario.lambda_da, lo)
-        x_star = response(rho_star)
-        notes.append("degenerate price interval; followers never offer")
-        diag = SolverDiagnostics(0, 0, 0.0, True, False, seed, draws, tuple(notes))
-        return EquilibriumResult(
-            rho_star, x_star, n * x_star, profit(rho_star), n,
-            scenario.capacity.cbar, scenario.lambda_da, diag,
+        rho_star, x_star = min(scenario.lambda_da, lo), 0.0
+        diag = replace(diag, notes=("degenerate price interval; followers never offer",))
+    elif scenario.capacity.kind == DETERMINISTIC:
+        # certain supply: any price above indifference buys all of it
+        rho_star, x_star = min(lo + tol_rho, 0.5 * (lo + hi)), cbar
+        diag = replace(diag, notes=("deterministic capacity; full offer just above indifference",))
+    else:
+        x_star, rho_star, diag = _offer_search(
+            inverse, scenario.lambda_da, n, cbar, grid_points, tol_x, inverse.seed, inverse.draws
         )
+        if 0.0 < x_star < cbar:
+            diag = replace(diag, follower_residual=abs(inverse.gap(rho_star, x_star)))
+    profit = (scenario.lambda_da - rho_star) * n * x_star
+    return EquilibriumResult(
+        rho_star, x_star, n * x_star, profit, n, cbar, scenario.lambda_da, diag
+    )
 
-    grid = np.linspace(lo, hi, grid_points)
-    profits = np.array([profit(r) for r in grid])
+
+def _offer_search(rho_of, lambda_da, n, cbar, grid_points, tol, seed, draws, extra=()):
+    """Maximise the leader profit (lambda_da - rho(x)) * n * x over x in [0, cbar].
+
+    A uniform offer grid locates the best offer and doubles as a concavity
+    diagnostic: nonpositive second differences of profit certify the
+    sufficient condition under which the maximiser is unique.  Golden
+    section refines around the best grid point; the ``extra`` offers (kinks
+    of rho that the grid would miss) compete with the refined one.
+    Returns (x*, rho(x*), diagnostics).
+    """
+
+    def profit(x):
+        return (lambda_da - rho_of(x)) * n * x
+
+    grid = np.linspace(0.0, cbar, grid_points)
+    profits = np.array([profit(x) for x in grid])
     best = int(np.argmax(profits))
     scale = max(1.0, float(np.max(np.abs(profits))))
 
     d2 = profits[2:] - 2.0 * profits[1:-1] + profits[:-2]
     concavity_ok = bool(np.all(d2 <= 1e-7 * scale))
-
-    flat_tol = 1e-9 * scale
-    near_best = profits >= profits[best] - flat_tol
+    near_best = profits >= profits[best] - 1e-9 * scale
     components = int(np.sum(np.diff(near_best.astype(int)) == 1) + near_best[0])
     multiple_maxima = components > 1
+    notes = []
     if multiple_maxima:
         notes.append("multiple grid maxima within tolerance; uniqueness condition may fail")
     if not concavity_ok:
-        notes.append("profit not concave along the price grid")
+        notes.append("profit not concave along the offer grid")
 
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, grid_points - 1)])
-    rho_ref, prof_ref, refine_iters = _golden_max(profit, a, b, tol_rho)
-    if prof_ref >= profits[best]:
-        rho_star, prof_star = float(rho_ref), float(prof_ref)
-    else:
-        rho_star, prof_star = float(grid[best]), float(profits[best])
-
-    x_star = response(rho_star)
-    residual = 0.0
-    if scenario.capacity.kind != DETERMINISTIC and 0.0 < x_star < scenario.capacity.cbar:
-        residual = abs(
-            follower_foc_gap(scenario, rho_star, x_star, draws=draws, seed=seed, _caps=caps)
-        )
+    x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
+    candidates = [(x_ref, prof_ref), (float(grid[best]), profits[best])]
+    candidates += [(float(x), profit(x)) for x in extra]
+    x_star = max(candidates, key=lambda c: c[1])[0]
     diag = SolverDiagnostics(
-        grid_points, refine_iters, residual, concavity_ok, multiple_maxima,
-        seed, draws, tuple(notes),
+        grid_points, iters, 0.0, concavity_ok, multiple_maxima, seed, draws, tuple(notes)
     )
-    return EquilibriumResult(
-        rho_star, x_star, n * x_star, prof_star, n,
-        scenario.capacity.cbar, scenario.lambda_da, diag,
-    )
+    return x_star, rho_of(x_star), diag
 
 
 @dataclass(frozen=True)
 class MeanFieldSolution:
-    """Large-N fixed point: shortfall-pass-through ratio and symmetric offer."""
+    """Large-N equilibrium: shortfall-pass-through ratio and symmetric offer."""
 
     beta: float
     x_star: float
@@ -300,153 +339,89 @@ class MeanFieldSolution:
             raise ValidationError(f"beta={self.beta} outside [0, 1]")
 
 
-def meanfield_solve(
-    scenario: GameScenario,
-    rho: float,
-    tol: float = 1e-8,
-    max_iter: int = MF_MAX_ITER,
-    damping: float = 0.5,
-) -> MeanFieldSolution:
-    """Solve the large-N system  beta*F(x) = (rho - E[u'])/lambda_rt  with
-    beta = (x - E[C])+ / E[(x - C)+].
+def _meanfield_beta(model, x: float) -> float:
+    """Pass-through ratio beta(x) = (x - E[C])+ / E[(x - C)+], clipped to [0, 1]."""
+    den = expected_shortfall(model, x)
+    if den <= 0.0:
+        return 0.0
+    return min(max((x - model.mean) / den, 0.0), 1.0)
 
-    Iterates x <- solve(beta), beta <- ratio(x) with a damped beta update.
-    The nominal damping of 0.5 limit-cycles when the net margin is small
-    (the alternation map is locally expanding there), so the update is
-    safeguarded: the residual ratio(x(beta)) - beta decreases strictly in
-    beta and changes sign on [0, 1], and any damped step that would leave
-    the sign bracket is replaced by its midpoint.  At indifference (zero
-    net margin) the maximal offer x* = E[C] is returned, matching the
-    large-N equilibrium path.
+
+def _meanfield_inverse(scenario: GameScenario):
+    """Mean-field inverse response rho(x) = E[u'] + lambda_rt * beta(x) * F(x).
+
+    Nondecreasing in x, and flat at E[u'] up to x = E[C] where beta = 0.
     """
     model = scenario.capacity
     if model.kind != IID_UNIFORM:
         raise ValidationError("mean-field solve requires iid capacities")
-    lam = scenario.lambda_rt
-    mean = model.mean
+
+    def rho_of(x):
+        return expected_marginal_utility(scenario, x) + (
+            scenario.lambda_rt * _meanfield_beta(model, x) * cdf_marginal(model, x)
+        )
+
+    return rho_of
+
+
+def meanfield_solve(scenario: GameScenario, rho: float, tol: float = 1e-12) -> MeanFieldSolution:
+    """Solve the large-N system  beta*F(x) = (rho - E[u'])/lambda_rt  with
+    beta = (x - E[C])+ / E[(x - C)+].
+
+    Bisects the monotone inverse response rho(x) = rho to an offer bracket
+    of width ``tol``; beta follows from x.  At indifference (zero net
+    margin) the maximal offer x* = E[C] is returned, matching the large-N
+    equilibrium path.
+    """
+    inverse = _meanfield_inverse(scenario)
+    model = scenario.capacity
     cbar = model.cbar
 
     def margin(x):
-        return (rho - expected_marginal_utility(scenario, x)) / lam
+        return (rho - expected_marginal_utility(scenario, x)) / scenario.lambda_rt
 
     r0 = margin(0.0)
     if r0 < 0.0:
         return MeanFieldSolution(0.0, 0.0, (0.0, 0.0), 0)
     if r0 == 0.0:
-        return MeanFieldSolution(0.0, min(mean, cbar), (0.0, 0.0), 0)
+        return MeanFieldSolution(0.0, min(model.mean, cbar), (0.0, 0.0), 0)
     if margin(cbar) >= 1.0:
         # offer cap binds; the gap is carried by the cap multiplier
         return MeanFieldSolution(1.0, cbar, (0.0, 0.0), 0)
-
-    def solve_x(beta):
-        def gap(x):
-            return margin(x) - beta * cdf_marginal(model, x)
-
-        if gap(cbar) >= 0.0:
-            return cbar
-        x, _, _ = _bisect_decreasing(gap, 0.0, cbar, 1e-12, MAX_BISECT_ITER)
-        return x
-
-    def ratio(x):
-        den = expected_shortfall(model, x)
-        if den <= 0.0:
-            return 0.0
-        return min(max((x - mean) / den, 0.0), 1.0)
-
-    beta = 1.0
-    step = damping
-    lo_b, hi_b = 0.0, 1.0  # ratio(x(0+)) - 0 > 0 > ratio(x(1)) - 1
-    prev_err = math.inf
-    prev_sign = 0.0
-    trace: list[float] = []
-    for k in range(1, max_iter + 1):
-        x = solve_x(beta)
-        target = ratio(x)
-        e1 = abs(beta * cdf_marginal(model, x) - margin(x))
-        e2 = abs(target - beta)
-        err = max(e1, e2)
-        trace.append(err)
-        if err <= tol:
-            return MeanFieldSolution(beta, x, (e1, e2), k)
-        sign = math.copysign(1.0, target - beta) if target != beta else 0.0
-        if target > beta:
-            lo_b = beta
-        elif target < beta:
-            hi_b = beta
-        # halve on oscillation (update direction flips) or stalled error
-        if sign * prev_sign < 0.0 or err >= prev_err:
-            step = max(0.5 * step, 1e-3)
-        prev_sign = sign
-        prev_err = err
-        nxt = beta + step * (target - beta)
-        if not lo_b < nxt < hi_b:
-            nxt = 0.5 * (lo_b + hi_b)
-        beta = nxt
-    raise SolverError(
-        "mean-field iteration did not converge",
-        residual_trace=tuple(trace[-20:]),
-        step=step,
-        rho=rho,
-    )
-
-
-def meanfield_response(scenario: GameScenario, rho: float, tol: float = 1e-8) -> float:
-    """Large-N symmetric offer at one price (0 below indifference, E[C] at it)."""
-    return meanfield_solve(scenario, rho, tol=tol).x_star
+    x, _, iters = _bisect_decreasing(lambda v: rho - inverse(v), 0.0, cbar, tol, MAX_BISECT_ITER)
+    residual = abs(rho - inverse(x)) / scenario.lambda_rt
+    return MeanFieldSolution(_meanfield_beta(model, x), x, (residual, 0.0), iters)
 
 
 def meanfield_stackelberg(
     scenario: GameScenario,
-    tol_rho: float = DEFAULT_TOL_RHO,
+    tol_x: float = DEFAULT_TOL_X,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[EquilibriumResult, MeanFieldSolution]:
-    """Leader's price against the mean-field response curve."""
-    rho_min, _ = offer_price_bounds(scenario)
-    lo = max(0.0, rho_min)
-    hi = scenario.lambda_da
+    """Leader's price against the mean-field response curve.
+
+    Same offer-space search as :func:`stackelberg_solve`, with the offer
+    x = E[C] (the end of the flat piece of rho) always a candidate, so
+    the indifference optimum is found exactly.
+    """
+    inverse = _meanfield_inverse(scenario)
+    lo = max(0.0, offer_price_bounds(scenario)[0])
     n = scenario.n_prosumers
-
-    cache: dict[float, float] = {}
-
-    def response(rho):
-        if rho not in cache:
-            cache[rho] = meanfield_response(scenario, rho)
-        return cache[rho]
-
-    def profit(rho):
-        return (scenario.lambda_da - rho) * n * response(rho)
-
-    if hi <= lo:
-        rho_star = min(hi, lo)
-        sol = meanfield_solve(scenario, rho_star)
+    model = scenario.capacity
+    if scenario.lambda_da <= lo:
+        rho_star = scenario.lambda_da
         diag = SolverDiagnostics(0, 0, 0.0, True, False, 0, 0, ("degenerate price interval",))
-        return (
-            EquilibriumResult(
-                rho_star, sol.x_star, n * sol.x_star, profit(rho_star), n,
-                scenario.capacity.cbar, scenario.lambda_da, diag,
-            ),
-            sol,
-        )
-
-    grid = np.linspace(lo, hi, grid_points)
-    profits = np.array([profit(r) for r in grid])
-    best = int(np.argmax(profits))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
-    rho_ref, prof_ref, iters = _golden_max(profit, a, b, tol_rho)
-    if prof_ref >= profits[best]:
-        rho_star, prof_star = rho_ref, prof_ref
     else:
-        rho_star, prof_star = float(grid[best]), float(profits[best])
+        _, rho_star, diag = _offer_search(
+            inverse, scenario.lambda_da, n, model.cbar, grid_points, tol_x, 0, 0,
+            extra=(min(model.mean, model.cbar),),
+        )
     sol = meanfield_solve(scenario, rho_star)
-    diag = SolverDiagnostics(grid_points, iters, max(sol.residuals), True, False, 0, 0, ())
-    return (
-        EquilibriumResult(
-            rho_star, sol.x_star, n * sol.x_star, prof_star, n,
-            scenario.capacity.cbar, scenario.lambda_da, diag,
-        ),
-        sol,
+    result = EquilibriumResult(
+        rho_star, sol.x_star, n * sol.x_star, (scenario.lambda_da - rho_star) * n * sol.x_star,
+        n, model.cbar, scenario.lambda_da, replace(diag, follower_residual=max(sol.residuals)),
     )
+    return result, sol
 
 
 def shortfall_ratio_convergence(
@@ -496,7 +471,7 @@ def _warn_if_off_band(scenario: GameScenario) -> None:
         warnings.warn(
             f"sigma={cap.sigma:.6g} outside the closed-form band [{lo:.6g}, {hi:.6g}]; "
             "numeric equilibrium remains defined but has no closed-form counterpart",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 

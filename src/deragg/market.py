@@ -22,9 +22,10 @@ from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC, cdf_marginal, quantile_m
 from .closedform import UniformLinearParams
 from .equilibrium import (
     _bisect_decreasing,
+    _InverseResponse,
+    _leader_solve,
     offer_price_bounds,
     scenario_at_price,
-    stackelberg_solve,
 )
 from .errors import MarketInfeasibleError, SolverError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
@@ -59,6 +60,8 @@ class GeneratorSpec:
     segments: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.kappa):
+            raise ValidationError(f"kappa must be finite, got {self.kappa}")
         if self.kappa < 0.0 or self.qmin < 0.0:
             raise ValidationError("kappa and qmin must be nonnegative")
         if self.segments is not None:
@@ -411,18 +414,20 @@ def build_supply_curve_aggregated(
 
     Each grid price is treated as the day-ahead price of a fresh pricing
     game; inverting the resulting quantity path yields the aggregator's
-    offer curve.  The default grid spans the range on which the equilibrium
-    price path is interior.
+    offer curve.  The inverse response rho(x) does not depend on the
+    wholesale price, so one memoised table of it serves every price, and
+    each price adds only its own leader search.  The default grid spans the
+    range on which the equilibrium price path is interior.
     """
     if price_grid is None:
         price_grid = _default_wholesale_grid(scenario, n_points)
+    bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
+    inverse = _InverseResponse(scenario, bounds[0], draws, seed)
     points, failures = [], []
     for p in np.asarray(price_grid, dtype=float):
         try:
-            res = stackelberg_solve(
-                scenario_at_price(scenario, p),
-                tol_rho=tol_rho, tol_x=tol_x, grid_points=grid_points,
-                draws=draws, seed=seed,
+            res = _leader_solve(
+                scenario_at_price(scenario, p), inverse, bounds, tol_rho, tol_x, grid_points
             )
             points.append((res.aggregate_x, float(p)))
         except (SolverError, ValidationError) as exc:
@@ -552,6 +557,35 @@ def closed_form_params(scenario: GameScenario) -> UniformLinearParams:
     )
 
 
+def der_curves(
+    scenario: GameScenario,
+    source: str = "auto",
+    draws: int = DEFAULT_DRAWS,
+    seed: int = DEFAULT_SEED,
+) -> tuple[SupplyCurve, SupplyCurve, str]:
+    """Aggregated and direct DER supply curves, and the source that built them.
+
+    ``source`` is ``closedform`` (exact affine, dependent-uniform linear
+    scenarios only), ``numeric`` (tabulated from equilibrium solves), or
+    ``auto``, which picks the closed form wherever it applies.
+    """
+    if source == "auto":
+        use_closed = (
+            scenario.capacity.kind == DEPENDENT_UNIFORM and scenario.utility.kind == LINEAR
+        )
+        source = "closedform" if use_closed else "numeric"
+    if source == "closedform":
+        params = closed_form_params(scenario)
+        return aggregated_affine_curve(params), direct_affine_curve(params), source
+    if source == "numeric":
+        return (
+            build_supply_curve_aggregated(scenario, draws=draws, seed=seed),
+            build_supply_curve_direct(scenario, draws=draws, seed=seed),
+            source,
+        )
+    raise ValidationError(f"unknown curve_source {source!r}")
+
+
 def price_of_aggregation(
     scenario: GameScenario,
     generators,
@@ -562,27 +596,12 @@ def price_of_aggregation(
 ) -> PoAgReport:
     """Clear the market under all three participation modes and compare.
 
-    ``curve_source`` picks how the DER curves are built: ``closedform``
-    (exact affine, dependent-uniform linear scenarios only), ``numeric``
-    (tabulated from equilibrium solves), or ``auto``.
+    ``curve_source`` picks how the DER curves are built (see
+    :func:`der_curves`).
     """
     generators = tuple(generators)
     demand = demand_per_prosumer * scenario.n_prosumers
-    if curve_source == "auto":
-        use_closed = (
-            scenario.capacity.kind == DEPENDENT_UNIFORM and scenario.utility.kind == LINEAR
-        )
-        curve_source = "closedform" if use_closed else "numeric"
-    if curve_source == "closedform":
-        params = closed_form_params(scenario)
-        agg_curve = aggregated_affine_curve(params)
-        dir_curve = direct_affine_curve(params)
-    elif curve_source == "numeric":
-        agg_curve = build_supply_curve_aggregated(scenario, draws=draws, seed=seed)
-        dir_curve = build_supply_curve_direct(scenario, draws=draws, seed=seed)
-    else:
-        raise ValidationError(f"unknown curve_source {curve_source!r}")
-
+    agg_curve, dir_curve, curve_source = der_curves(scenario, curve_source, draws, seed)
     out_noder = clear_market(DispatchProblem(generators, demand, None, MODE_NODER))
     out_agg = clear_market(DispatchProblem(generators, demand, agg_curve, MODE_AGGREGATED))
     out_dir = clear_market(DispatchProblem(generators, demand, dir_curve, MODE_DIRECT))

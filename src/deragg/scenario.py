@@ -199,9 +199,12 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
 
 def load_scenario(path) -> ScenarioFile:
     """Parse and validate one scenario file; raises ValidationError on any issue."""
+    def reject_non_finite(token):
+        raise ValidationError(f"{path}: non-finite number {token} is not allowed")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=reject_non_finite)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -255,3 +255,37 @@ def test_ratio_diagnostic_limits():
 def test_ratio_diagnostic_requires_iid():
     with pytest.raises(dg.ValidationError):
         dg.shortfall_ratio_convergence(make_scenario(), 10.0, [2, 4])
+
+
+def _tabulated_scenario():
+    cap = dg.dependent_uniform(10.0, 3.3)
+    table = [(0.0, 3.4), (12.0, 2.8), (22.0, 2.2), (34.0, 1.9)]
+    return dg.GameScenario(1, 16.5, cap, dg.tabulated_utility(table), 4.0, 4.0)
+
+
+@pytest.mark.parametrize("case", ["dependent-linear", "iid-n4", "tabulated"])
+def test_leader_solution_lies_on_forward_response(case):
+    # the offer-space leader posts rho* = rho(x*); the forward bisection at
+    # rho* (same draws, same seed) must hand back x*
+    sc = {
+        "dependent-linear": make_scenario,
+        "iid-n4": lambda: make_scenario(kind="iid", n=4),
+        "tabulated": _tabulated_scenario,
+    }[case]()
+    draws, seed = 20_000, 7
+    res = dg.stackelberg_solve(sc, grid_points=96, draws=draws, seed=seed)
+    assert 0.0 < res.x_star < sc.capacity.cbar
+    back = dg.symmetric_follower_response(
+        dg.FollowerFixedPointSpec(sc, res.rho_star, draws=draws, seed=seed)
+    )
+    assert back == pytest.approx(res.x_star, abs=1e-6)
+    assert res.diagnostics.follower_residual <= 1e-12
+
+
+def test_meanfield_solve_inverts_explicit_inverse_response():
+    sc = make_scenario(kind="iid", n=4)
+    model = sc.capacity
+    for x in np.linspace(10.0, model.cbar, 41)[1:-1]:
+        beta = min((x - 10.0) / dg.expected_shortfall(model, x), 1.0)
+        rho = 2.5 + 4.0 * beta * dg.cdf_marginal(model, x)
+        assert dg.meanfield_solve(sc, rho).x_star == pytest.approx(x, abs=1e-9)

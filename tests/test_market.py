@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import deragg as dg
+from deragg.equilibrium import scenario_at_price
 from deragg.market import MODE_AGGREGATED, MODE_DIRECT, MODE_NODER, MODE_SOCIAL
 
 from conftest import make_scenario
@@ -223,3 +224,21 @@ def test_benchmark_response_endpoints(fig3_scenario):
 def test_dispatch_outcome_balance_guard():
     with pytest.raises(dg.ValidationError):
         dg.DispatchOutcome((5.0,), 1.0, 2.0, 10.0, demand=10.0)
+
+
+@pytest.mark.filterwarnings("ignore:sigma=.*outside the closed-form band")
+@pytest.mark.parametrize("kind,n", [("dependent", 1), ("iid", 2)])
+def test_aggregated_curve_matches_per_price_solves(kind, n):
+    # the curve shares one inverse-response table across prices; each point
+    # must still be the full leader solve at that wholesale price
+    sc = make_scenario(kind=kind, n=n)
+    prices = [3.6, 4.0, 4.6]
+    curve = dg.build_supply_curve_aggregated(
+        sc, price_grid=prices, grid_points=64, draws=10_000, seed=3
+    )
+    for (q, p), price in zip(curve.breakpoints, prices):
+        res = dg.stackelberg_solve(
+            scenario_at_price(sc, price), grid_points=64, draws=10_000, seed=3
+        )
+        assert p == price
+        assert q == pytest.approx(res.aggregate_x, abs=1e-8)

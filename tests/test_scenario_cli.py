@@ -1,10 +1,15 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 import deragg.cli as cli
+from deragg.agents import GameScenario, linear_utility, tabulated_utility
+from deragg.capacity import dependent_uniform, iid_uniform
 from deragg.errors import ValidationError
+from deragg.market import GeneratorSpec
 from deragg.scenario import apply_sweep_value, load_scenario, parse_scenario
 
 
@@ -205,3 +210,49 @@ def test_cli_out_file(tmp_path):
     assert cli.main(["equilibrium", write_scenario(tmp_path, BASE), "--out", str(target)]) == 0
     assert target.read_text().startswith("# schema_version=1\n")
     assert target.read_bytes().count(b"\r") == 0  # unix newlines
+
+
+def test_cli_validate_reports_axiom_violation(tmp_path, monkeypatch, capsys):
+    def negative_shares(offers, capacities, lambda_rt):
+        return -np.ones(np.shape(capacities))
+
+    monkeypatch.setattr(cli, "penalty_shares", negative_shares)
+    assert cli.main(["validate", write_scenario(tmp_path, BASE)]) == cli.EXIT_INVALID
+    assert "nonnegativity violated" in capsys.readouterr().out
+
+
+def test_emit_replaces_longer_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("x" * 1000)
+    cli._emit("short\n", str(target))
+    assert target.read_bytes() == b"short\n"
+
+
+CAP = dependent_uniform(10.0, 3.3)
+LIN = linear_utility(2.5)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: dependent_uniform(math.nan, 1.0, cbar=20.0), id="capacity-mu-nan"),
+    pytest.param(lambda: iid_uniform(10.0, math.inf, cbar=20.0), id="capacity-sigma-inf"),
+    pytest.param(lambda: GameScenario(1, math.inf, CAP, LIN, 4.0, 4.0), id="scenario-d0-inf"),
+    pytest.param(lambda: GameScenario(1, 20.0, CAP, LIN, math.nan, 4.0),
+                 id="scenario-lambda-da-nan"),
+    pytest.param(lambda: GameScenario(1, 20.0, CAP, LIN, 4.0, math.inf),
+                 id="scenario-lambda-rt-inf"),
+    pytest.param(lambda: linear_utility(math.inf), id="utility-gamma-inf"),
+    pytest.param(lambda: tabulated_utility([(0.0, 3.0), (math.nan, 2.0)]), id="utility-table-nan"),
+    pytest.param(lambda: GeneratorSpec(kappa=math.nan), id="generator-kappa-nan"),
+])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_token_rejected(tmp_path, token):
+    text = json.dumps(BASE).replace('"lambda_da": 4.0', f'"lambda_da": {token}')
+    path = tmp_path / "scn.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"non-finite number {token}"):
+        load_scenario(str(path))
