@@ -42,13 +42,11 @@ from .closedform import (
 from .equilibrium import (
     FollowerFixedPointSpec,
     MeanFieldSolution,
-    ShortfallAggregates,
     follower_foc_gap,
     meanfield_solve,
     meanfield_stackelberg,
     offer_price_bounds,
     partial_coverage_term,
-    shortfall_aggregates,
     shortfall_ratio_convergence,
     stackelberg_solve,
     symmetric_follower_response,
@@ -68,7 +66,6 @@ from .market import (
     PoAgReport,
     SupplyCurve,
     aggregated_affine_curve,
-    benchmark_response,
     build_supply_curve_aggregated,
     build_supply_curve_direct,
     clear_market,

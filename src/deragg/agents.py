@@ -102,8 +102,11 @@ class GameScenario:
             raise ValidationError(
                 f"d0={self.d0} must exceed installed capacity cbar={self.capacity.cbar}"
             )
-        if self.lambda_da < 0.0 or self.lambda_rt < 0.0:
-            raise ValidationError("prices lambda_da and lambda_rt must be nonnegative")
+        if self.lambda_da < 0.0:
+            raise ValidationError(f"lambda_da must be nonnegative, got {self.lambda_da}")
+        if not self.lambda_rt > 0.0:
+            # the first-order condition divides by the real-time price
+            raise ValidationError(f"lambda_rt must be positive, got {self.lambda_rt}")
 
 
 def expected_marginal_utility(

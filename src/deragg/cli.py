@@ -34,7 +34,6 @@ from .market import (
     MODE_AGGREGATED,
     MODE_DIRECT,
     MODE_NODER,
-    MODE_SOCIAL,
     DispatchProblem,
     GeneratorSpec,
     build_supply_curve_aggregated,
@@ -251,8 +250,7 @@ def cmd_dispatch(args) -> int:
     seed = _resolve_seed(args, sf)
     draws = _resolve_draws(args, sf)
     demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
-    mode = {"agg": MODE_AGGREGATED, "direct": MODE_DIRECT,
-            "noder": MODE_NODER, "social": MODE_SOCIAL}[args.mode]
+    mode = {"agg": MODE_AGGREGATED, "direct": MODE_DIRECT, "noder": MODE_NODER}[args.mode]
     curve = None
     if mode != MODE_NODER:
         agg, direct, _ = der_curves(sf.scenario, args.curve_source, draws, seed)
@@ -426,14 +424,8 @@ def _figure_generator():
 def cmd_figures(args) -> int:
     seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, "0"))
     os.makedirs(args.out, exist_ok=True)
-    meta = {
-        "schema_version": "1",
-        "seed": seed,
-        "draws": args.draws if args.draws is not None else 0,
-        "tol_x": 1e-8,
-        "tol_rho": 1e-6,
-        "build": f"deragg-{__version__}",
-    }
+    # every figure is a closed form: no solver tolerance or draw count applies
+    meta = {"schema_version": "1", "seed": seed, "build": f"deragg-{__version__}"}
     written = []
     for filename, columns, rows in _figure_tables(args.name):
         path = os.path.join(args.out, filename)
@@ -479,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispatch", help="clear the day-ahead market once")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("agg", "direct", "noder", "social"), required=True)
+    p.add_argument("--mode", choices=("agg", "direct", "noder"), required=True)
     p.add_argument("--curve-source", choices=("auto", "closedform", "numeric"), default="auto")
     _add_common(p)
     p.set_defaults(fn=cmd_dispatch)

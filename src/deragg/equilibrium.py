@@ -70,26 +70,6 @@ class FollowerFixedPointSpec:
             raise ValidationError("tol_x must be positive")
 
 
-@dataclass(frozen=True)
-class ShortfallAggregates:
-    """Rival shortfall sums seen by one prosumer: signed and positive-part."""
-
-    s_minus_i: float
-    s_plus_minus_i: float
-
-    def __post_init__(self):
-        if self.s_plus_minus_i < max(self.s_minus_i, 0.0) - 1e-12:
-            raise ValidationError("positive-part sum cannot fall below the signed sum or zero")
-
-
-def shortfall_aggregates(offers, capacities, i: int) -> ShortfallAggregates:
-    """Aggregate rival shortfalls for prosumer ``i`` in one realized outcome."""
-    x = np.asarray(offers, dtype=float)
-    c = np.asarray(capacities, dtype=float)
-    diff = np.delete(x - c, i)
-    return ShortfallAggregates(float(diff.sum()), float(np.maximum(diff, 0.0).sum()))
-
-
 def offer_price_bounds(
     scenario: GameScenario, draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED
 ) -> tuple[float, float]:

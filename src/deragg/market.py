@@ -1,27 +1,28 @@
 """Stylized day-ahead market clearing and the price-of-aggregation metric.
 
 The system operator meets an inelastic demand from dispatchable generators
-plus a DER supply curve (the pooled offer under aggregated participation,
-or the collapsed per-prosumer offers under direct participation).  All
-supply is nondecreasing in price, so clearing reduces to finding the price
-at which cumulative supply meets demand; the clearing price is the marginal
-cost of the marginal resource.  Transmission constraints are intentionally
-absent and demand is a point forecast.
+plus a DER supply curve: the pooled offer under aggregated participation,
+or, under direct participation, the collapsed per-prosumer offers.  A
+prosumer bidding directly plays no cost-sharing game, so its offer curve
+is the inverse response rho_1(y) of the one-prosumer game, read off on a
+grid of offers.  All supply is nondecreasing in price, so clearing reduces
+to finding the price at which cumulative supply meets demand; the clearing
+price is the marginal cost of the marginal resource.  Transmission
+constraints are intentionally absent and demand is a point forecast.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import LINEAR, GameScenario, expected_marginal_utility
-from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC, cdf_marginal, quantile_marginal
+from .agents import LINEAR, GameScenario
+from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC
 from .closedform import UniformLinearParams
 from .equilibrium import (
-    _bisect_decreasing,
     _InverseResponse,
     _leader_solve,
     offer_price_bounds,
@@ -33,11 +34,9 @@ from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 MODE_AGGREGATED = "aggregated"
 MODE_DIRECT = "direct"
 MODE_NODER = "noder"
-MODE_SOCIAL = "social"  # benchmark variant: direct curve through a non-profit pool
-_MODES = (MODE_AGGREGATED, MODE_DIRECT, MODE_NODER, MODE_SOCIAL)
+_MODES = (MODE_AGGREGATED, MODE_DIRECT, MODE_NODER)
 
-AGGREGATOR_AFFINE = "aggregator_affine"
-PROSUMER_AFFINE = "prosumer_affine"
+AFFINE = "affine"
 TABULATED = "tabulated"
 
 TIE_RULE = "pro-rata by remaining headroom at the clearing price"
@@ -123,8 +122,8 @@ class GeneratorSpec:
 class SupplyCurve:
     """Nondecreasing inverse supply offer with a quantity cap.
 
-    Affine kinds carry ``price = intercept + slope * quantity`` up to the
-    cap; the tabulated kind interpolates sorted (quantity, price)
+    The affine kind carries ``price = intercept + slope * quantity`` up to
+    the cap; the tabulated kind interpolates sorted (quantity, price)
     breakpoints, flat below the first one.
     """
 
@@ -135,7 +134,7 @@ class SupplyCurve:
     breakpoints: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind in (AGGREGATOR_AFFINE, PROSUMER_AFFINE):
+        if self.kind == AFFINE:
             if self.intercept is None or self.slope is None or self.slope <= 0.0:
                 raise ValidationError("affine curve needs an intercept and a positive slope")
             if not self.quantity_cap > 0.0:
@@ -227,7 +226,7 @@ def aggregated_affine_curve(p: UniformLinearParams) -> SupplyCurve:
     """Pooled inverse supply implied by the closed-form equilibrium path."""
     s3 = p.half_width
     return SupplyCurve(
-        AGGREGATOR_AFFINE,
+        AFFINE,
         quantity_cap=p.n_prosumers * (p.mu + s3) / 2.0,
         intercept=p.gamma - p.lambda_rt * (p.mu - s3) / (2.0 * s3),
         slope=p.lambda_rt / (p.n_prosumers * s3),
@@ -238,7 +237,7 @@ def direct_affine_curve(p: UniformLinearParams) -> SupplyCurve:
     """Collapsed inverse supply of N identical prosumers bidding directly."""
     s3 = p.half_width
     return SupplyCurve(
-        PROSUMER_AFFINE,
+        AFFINE,
         quantity_cap=p.n_prosumers * (p.mu + s3),
         intercept=p.gamma - p.lambda_rt * (p.mu - s3) / (2.0 * s3),
         slope=p.lambda_rt / (2.0 * p.n_prosumers * s3),
@@ -443,63 +442,37 @@ def build_supply_curve_aggregated(
 
 def build_supply_curve_direct(
     scenario: GameScenario,
-    price_grid=None,
     n_points: int = 33,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> SupplyCurve:
     """Tabulate the collapsed direct-participation offer of N prosumers.
 
-    Each prosumer bids against the wholesale price alone (no cost-sharing
-    game): the response maximizes compensation plus consumption utility
-    minus the own-shortfall buy-back, and identical prosumers are collapsed
-    into one scaled curve.
+    A prosumer bidding directly plays no cost-sharing game, so its offer
+    curve is the inverse response of the one-prosumer game,
+    rho_1(y) = E[u'(d0 + C - y)] + lambda_rt * F(y), read off at
+    ``n_points`` offers on [0, cbar] plus the support ends (the kinks of
+    F, which make the curve exact for linear utility).  Identical
+    prosumers collapse into one curve scaled by N.  Points inside a run of
+    equal prices are dropped; the curve takes the maximal offer of the run
+    at indifference.
     """
-    rho_min, rho_max = offer_price_bounds(scenario, draws=draws, seed=seed)
-    if price_grid is None:
-        price_grid = np.linspace(rho_min, rho_max, n_points)
-    n = scenario.n_prosumers
-    points = []
-    for p in np.asarray(price_grid, dtype=float):
-        y = benchmark_response(scenario, float(p), draws=draws, seed=seed)
-        points.append((n * y, float(p)))
-    return _tabulated_from_points(points)
-
-
-def benchmark_response(
-    scenario: GameScenario, price: float, draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED
-) -> float:
-    """One prosumer's direct-market offer at a given wholesale price.
-
-    Solves ``price = E[u'(d0 + C - y)] + lambda_rt * F(y)``; at
-    indifference the maximal offer is taken.
-    """
-    model = scenario.capacity
-    cbar = model.cbar
     rho_min, _ = offer_price_bounds(scenario, draws=draws, seed=seed)
+    model = scenario.capacity
+    n = scenario.n_prosumers
     if model.kind == DETERMINISTIC:
-        return cbar if price >= rho_min else 0.0
-    if scenario.utility.kind == LINEAR:
-        frac = (price - scenario.utility.gamma) / scenario.lambda_rt
-        if frac <= 0.0:
-            return quantile_marginal(model, 0.0) if price >= rho_min else 0.0
-        if frac > 1.0:
-            return cbar  # margin stays positive past the support top
-        return min(quantile_marginal(model, frac), cbar)
-
-    def gap(y):
-        return (
-            price
-            - expected_marginal_utility(scenario, y, draws=draws, seed=seed)
-            - scenario.lambda_rt * cdf_marginal(model, y)
-        )
-
-    if gap(0.0) < 0.0:
-        return 0.0
-    if gap(cbar) >= 0.0:
-        return cbar
-    y, _, _ = _bisect_decreasing(gap, 0.0, cbar, 1e-10, 200)
-    return y
+        return _tabulated_from_points([(0.0, rho_min), (n * model.cbar, rho_min)])
+    rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), rho_min, draws, seed)
+    # a sorted set, not np.unique, whose first call raises the process's peak memory
+    offers = sorted({*np.linspace(0.0, model.cbar, n_points).tolist(), *model.support})
+    points = []
+    for y in offers:
+        p = rho_1(y)
+        if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
+            points[-1] = (n * y, p)  # stretch the flat run to its largest offer
+        else:
+            points.append((n * y, p))
+    return _tabulated_from_points(points)
 
 
 def _tabulated_from_points(points) -> SupplyCurve:

@@ -1,7 +1,14 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import deragg as dg
+
+ROOT = Path(__file__).resolve().parents[1]
+# the benchmark's modules import one another by top-level name
+sys.path.insert(0, str(ROOT / "bench"))
 
 
 def coverage_by_quadrature(scenario, x, m=2001):

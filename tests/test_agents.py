@@ -35,6 +35,13 @@ def test_scenario_validation():
         dg.GameScenario(1, 20.0, cap, dg.linear_utility(2.5), -1.0, 4.0)
 
 
+@pytest.mark.parametrize("lambda_rt", [0.0, -1.0])
+def test_scenario_rejects_nonpositive_real_time_price(lambda_rt):
+    cap = dg.dependent_uniform(10.0, 3.3)
+    with pytest.raises(dg.ValidationError, match="lambda_rt"):
+        dg.GameScenario(1, 20.0, cap, dg.linear_utility(2.5), 4.0, lambda_rt)
+
+
 def test_payoff_deterministic_hand_value():
     sc = make_scenario(kind="deterministic", mu=10.0, d0=11.0)
     got = dg.prosumer_payoff(sc, rho=3.0, x_i=10.0, x_others=10.0, draws=MIN_DRAWS, seed=1)

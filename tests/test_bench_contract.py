@@ -1,0 +1,32 @@
+"""The benchmark's trace contract holds for every workload.
+
+``bench/workloads.py`` names, for each workload, the traced layers its
+commands must call (``uses``) and must never call (``never``); a benchmark
+run that breaks either list fails.  Each distinct command of each workload
+runs once here under the benchmark's own tracer, so a change that moves
+work out of a named layer fails this test before it fails the benchmark.
+"""
+
+import pytest
+
+import deragg.cli as cli
+import tracer
+import workloads
+
+from conftest import ROOT
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_trace_contract(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    wl = workloads.build(name, 1, str(tmp_path))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        codes = {cmd.argv: cli.main(list(cmd.argv)) for cmd in dict.fromkeys(wl.commands)}
+    finally:
+        t.uninstall()
+    assert set(codes.values()) == {0}, codes
+    calls = {layer: row[tracer.CALLS] for layer, row in t.snapshot()[0].items()}
+    assert sorted(n for n in wl.uses if not calls.get(n)) == []
+    assert sorted(n for n in wl.never if calls.get(n)) == []

@@ -18,14 +18,6 @@ def test_rho_bounds_linear():
     assert hi2 == pytest.approx(tiny.lambda_rt, abs=1e-8)
 
 
-def test_shortfall_aggregates():
-    agg = dg.shortfall_aggregates([3.0, 2.0, 5.0], [1.0, 4.0, 5.0], i=0)
-    assert agg.s_minus_i == pytest.approx(-2.0)
-    assert agg.s_plus_minus_i == pytest.approx(0.0)
-    with pytest.raises(dg.ValidationError):
-        dg.ShortfallAggregates(1.0, 0.5)
-
-
 def test_follower_boundary_cases_exact(fig3_scenario):
     sc = fig3_scenario
     cbar = sc.capacity.cbar

@@ -5,7 +5,10 @@ import pytest
 
 import deragg as dg
 from deragg.equilibrium import scenario_at_price
-from deragg.market import MODE_AGGREGATED, MODE_DIRECT, MODE_NODER, MODE_SOCIAL
+from deragg.market import MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
+from deragg.scenario import parse_scenario
+from oracles import tabulated_inverse_response
+from workloads import TABULATED_SCENARIO
 
 from conftest import make_scenario
 
@@ -146,14 +149,6 @@ def test_cost_monotone_in_demand():
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
 
-def test_social_mode_uses_direct_curve():
-    curve = dg.direct_affine_curve(fig5_params())
-    gens = (dg.GeneratorSpec(kappa=3.25),)
-    social = dg.clear_market(dg.DispatchProblem(gens, 10.0, curve, MODE_SOCIAL))
-    direct = dg.clear_market(dg.DispatchProblem(gens, 10.0, curve, MODE_DIRECT))
-    assert social.total_cost == direct.total_cost
-
-
 def test_poag_report_fig5(fig3_scenario):
     rep = dg.price_of_aggregation(fig3_scenario, (dg.GeneratorSpec(kappa=3.25),), 10.0)
     assert rep.curve_source == "closedform"
@@ -214,11 +209,24 @@ def test_deterministic_aggregated_curve_is_vertical_then_flat():
     assert curve.price_at(9.9) == pytest.approx(2.5, abs=1e-3)
 
 
-def test_benchmark_response_endpoints(fig3_scenario):
+def test_direct_curve_endpoints(fig3_scenario):
     lo, hi = fig3_scenario.capacity.support
-    assert dg.benchmark_response(fig3_scenario, 2.5) == pytest.approx(lo, abs=1e-12)
-    assert dg.benchmark_response(fig3_scenario, 6.5) == pytest.approx(hi, abs=1e-12)
-    assert dg.benchmark_response(fig3_scenario, 1.0) == 0.0
+    curve = dg.build_supply_curve_direct(fig3_scenario)
+    assert curve.quantity_at(2.5) == pytest.approx(lo, abs=1e-12)
+    assert curve.quantity_at(6.5) == pytest.approx(hi, abs=1e-12)
+    assert curve.quantity_at(1.0) == 0.0
+
+
+def test_direct_curve_matches_exact_tabulated_inverse_response():
+    # E[u'] of a piecewise-linear u' under uniform capacity is exact (oracle);
+    # the curve reads the Monte-Carlo rho_1 off at its offers
+    scenario = parse_scenario(TABULATED_SCENARIO).scenario
+    _, rho_1, cbar = tabulated_inverse_response(TABULATED_SCENARIO)
+    curve = dg.build_supply_curve_direct(scenario, draws=50_000, seed=7)
+    n = scenario.n_prosumers
+    ys = np.linspace(0.0, cbar, 2001)
+    err = max(abs(curve.price_at(n * y) - float(rho_1(y))) for y in ys)
+    assert err <= 2e-3
 
 
 def test_dispatch_outcome_balance_guard():

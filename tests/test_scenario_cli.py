@@ -105,6 +105,13 @@ def test_cli_validate_rejects_d0_below_capacity(tmp_path, capsys):
     assert "d0" in capsys.readouterr().err
 
 
+def test_cli_rejects_zero_real_time_price(tmp_path, capsys):
+    path = write_scenario(tmp_path, deep(BASE, (("scenario", "lambda_rt"), 0)))
+    code = cli.main(["supply-curve", path, "--mode", "direct"])
+    assert code == cli.EXIT_INVALID
+    assert "lambda_rt" in capsys.readouterr().err
+
+
 def test_cli_validate_closed_form_band(tmp_path, capsys):
     off_band = deep(BASE, (("scenario", "capacity", "sigma"), 3.0))
     path = write_scenario(tmp_path, off_band)
