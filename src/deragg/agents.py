@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,27 +50,36 @@ class UtilitySpec:
             raise ValidationError("tabulated marginal utility must be nonnegative and nonincreasing")
         object.__setattr__(self, "marginal_points", tuple((float(a), float(b)) for a, b in pts))
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Table knots, u' there, and the integral of u' from the first knot."""
+        zs = np.asarray([p[0] for p in self.marginal_points])
+        ms = np.asarray([p[1] for p in self.marginal_points])
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (ms[1:] + ms[:-1]) * np.diff(zs))])
+        return zs, ms, cum
+
     def marginal(self, z):
         """u'(z), vectorized; constant extrapolation outside the table."""
         if self.kind == LINEAR:
             out = np.full_like(np.asarray(z, dtype=float), self.gamma)
             return out if out.ndim else float(out)
-        zs = np.asarray([p[0] for p in self.marginal_points])
-        ms = np.asarray([p[1] for p in self.marginal_points])
+        zs, ms, _ = self._table
         out = np.interp(np.asarray(z, dtype=float), zs, ms)
         return out if out.ndim else float(out)
 
     def value(self, z):
-        """u(z) with u(0) = 0; the tabulated kind integrates its marginal."""
+        """u(z) with u(0) = 0; exact, since the tabulated u' is piecewise linear."""
         za = np.asarray(z, dtype=float)
         if self.kind == LINEAR:
             out = self.gamma * za
             return out if out.ndim else float(out)
-        grid = np.linspace(0.0, float(np.max(za, initial=0.0)) + 1e-12, 4097)
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (self.marginal(grid[1:]) + self.marginal(grid[:-1])) * np.diff(grid)
-        )])
-        out = np.interp(za, grid, cum)
+        zs, ms, cum = self._table
+
+        def integral(t):  # from the first knot: trapezoid on the segment holding t
+            k = np.clip(np.searchsorted(zs, t, side="right") - 1, 0, len(zs) - 1)
+            return cum[k] + 0.5 * (t - zs[k]) * (ms[k] + np.interp(t, zs, ms))
+
+        out = integral(za) - integral(0.0)
         return out if out.ndim else float(out)
 
 

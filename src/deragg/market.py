@@ -5,10 +5,11 @@ plus a DER supply curve: the pooled offer under aggregated participation,
 or, under direct participation, the collapsed per-prosumer offers.  A
 prosumer bidding directly plays no cost-sharing game, so its offer curve
 is the inverse response rho_1(y) of the one-prosumer game, read off on a
-grid of offers.  All supply is nondecreasing in price, so clearing reduces
-to finding the price at which cumulative supply meets demand; the clearing
-price is the marginal cost of the marginal resource.  Transmission
-constraints are intentionally absent and demand is a point forecast.
+grid of offers.  All supply is nondecreasing and piecewise linear in price,
+so clearing walks the merit order's knots to the price at which cumulative
+supply meets demand; the clearing price is the marginal cost of the
+marginal resource.  Transmission constraints are intentionally absent and
+demand is a point forecast.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .agents import LINEAR, GameScenario
 from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC
-from .closedform import UniformLinearParams
+from .closedform import UniformLinearParams, inverse_supply_aggregated, inverse_supply_direct
 from .equilibrium import (
     _InverseResponse,
     _leader_solve,
@@ -35,9 +37,6 @@ MODE_AGGREGATED = "aggregated"
 MODE_DIRECT = "direct"
 MODE_NODER = "noder"
 _MODES = (MODE_AGGREGATED, MODE_DIRECT, MODE_NODER)
-
-AFFINE = "affine"
-TABULATED = "tabulated"
 
 TIE_RULE = "pro-rata by remaining headroom at the clearing price"
 
@@ -59,14 +58,19 @@ class GeneratorSpec:
     segments: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.kappa):
-            raise ValidationError(f"kappa must be finite, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and math.isfinite(self.qmin)) or math.isnan(self.qmax):
+            raise ValidationError(
+                f"kappa and qmin must be finite and qmax not NaN, got "
+                f"{self.kappa}, {self.qmin}, {self.qmax}"
+            )
         if self.kappa < 0.0 or self.qmin < 0.0:
             raise ValidationError("kappa and qmin must be nonnegative")
         if self.segments is not None:
             seg = tuple((float(p), float(w)) for p, w in self.segments)
             prices = [p for p, _ in seg]
             widths = [w for _, w in seg]
+            if not all(math.isfinite(v) for v in prices + widths):
+                raise ValidationError(f"segment prices and widths must be finite, got {seg}")
             if not seg or any(w <= 0.0 for w in widths):
                 raise ValidationError("segments need positive widths")
             if any(b < a for a, b in zip(prices, prices[1:])):
@@ -120,93 +124,71 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class SupplyCurve:
-    """Nondecreasing inverse supply offer with a quantity cap.
+    """Nondecreasing piecewise-linear inverse supply offer.
 
-    The affine kind carries ``price = intercept + slope * quantity`` up to
-    the cap; the tabulated kind interpolates sorted (quantity, price)
-    breakpoints, flat below the first one.
+    ``breakpoints`` are sorted (quantity, price) pairs.  The price is
+    interpolated linearly between them and held flat outside them; the
+    quantity cap is the last quantity.
     """
 
-    kind: str
-    quantity_cap: float
-    intercept: float | None = None
-    slope: float | None = None
-    breakpoints: tuple[tuple[float, float], ...] | None = None
+    breakpoints: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.kind == AFFINE:
-            if self.intercept is None or self.slope is None or self.slope <= 0.0:
-                raise ValidationError("affine curve needs an intercept and a positive slope")
-            if not self.quantity_cap > 0.0:
-                raise ValidationError("quantity_cap must be positive")
-        elif self.kind == TABULATED:
-            bps = self.breakpoints
-            if not bps or len(bps) < 2:
-                raise ValidationError("tabulated curve needs at least two breakpoints")
-            bps = tuple((float(q), float(p)) for q, p in bps)
-            qs = [q for q, _ in bps]
-            ps = [p for _, p in bps]
-            if any(b < a for a, b in zip(qs, qs[1:])) or any(b < a - 1e-12 for a, b in zip(ps, ps[1:])):
-                raise ValidationError("breakpoints must be nondecreasing in quantity and price")
-            object.__setattr__(self, "breakpoints", bps)
-            object.__setattr__(self, "quantity_cap", qs[-1])
-        else:
-            raise ValidationError(f"unknown supply curve kind {self.kind!r}")
+        bps = tuple((float(q), float(p)) for q, p in self.breakpoints)
+        if len(bps) < 2:
+            raise ValidationError("supply curve needs at least two breakpoints")
+        if not all(math.isfinite(v) for bp in bps for v in bp):
+            raise ValidationError(f"supply curve breakpoints must be finite, got {bps}")
+        qs, ps = zip(*bps)
+        if any(b < a for a, b in zip(qs, qs[1:])) or any(
+            b < a - 1e-12 for a, b in zip(ps, ps[1:])
+        ):
+            raise ValidationError("breakpoints must be nondecreasing in quantity and price")
+        object.__setattr__(self, "breakpoints", bps)
+
+    @property
+    def quantity_cap(self) -> float:
+        return self.breakpoints[-1][0]
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Rows of quantities and prices."""
+        return np.array(list(zip(*self.breakpoints)))
 
     def knot_prices(self) -> tuple[float, ...]:
-        if self.kind == TABULATED:
-            return tuple(p for _, p in self.breakpoints)
-        return (self.intercept, self.price_at(self.quantity_cap))
+        return tuple(p for _, p in self.breakpoints)
 
     def price_at(self, q: float) -> float:
         """Minimum price at which quantity ``q`` is offered (inverse supply)."""
         if q < -1e-12 or q > self.quantity_cap + 1e-12:
             warnings.warn(
-                f"quantity {q:.6g} outside [0, {self.quantity_cap:.6g}]; extrapolating",
+                f"quantity {q:.6g} outside [0, {self.quantity_cap:.6g}]; price held flat",
                 stacklevel=2,
             )
-        if self.kind == TABULATED:
-            qs = np.array([a for a, _ in self.breakpoints])
-            ps = np.array([b for _, b in self.breakpoints])
-            return float(np.interp(q, qs, ps))
-        return self.intercept + self.slope * q
+        qs, ps = self._table
+        return float(np.interp(q, qs, ps))
 
     def quantity_at(self, price: float) -> float:
         """Largest quantity whose marginal price does not exceed ``price``."""
-        if self.kind != TABULATED:
-            return float(np.clip((price - self.intercept) / self.slope, 0.0, self.quantity_cap))
-        qs = [a for a, _ in self.breakpoints]
-        ps = [b for _, b in self.breakpoints]
-        if price >= ps[-1]:
-            return self.quantity_cap
-        if price < ps[0]:
-            return 0.0
-        i = int(np.searchsorted(ps, price, side="right")) - 1
-        if ps[i + 1] == ps[i]:
-            return qs[i + 1]
-        return qs[i] + (price - ps[i]) * (qs[i + 1] - qs[i]) / (ps[i + 1] - ps[i])
+        return self._quantity(price, "right")
 
     def quantity_below(self, price: float) -> float:
         """Largest quantity with marginal price strictly below ``price``."""
-        if self.kind != TABULATED:
-            return self.quantity_at(price)
-        qs = [a for a, _ in self.breakpoints]
-        ps = [b for _, b in self.breakpoints]
-        if price > ps[-1]:
-            return self.quantity_cap
-        if price <= ps[0]:
+        return self._quantity(price, "left")
+
+    def _quantity(self, price: float, side: str) -> float:
+        qs, ps = self._table
+        k = int(np.searchsorted(ps, price, side))
+        if k == 0:
             return 0.0
-        i = int(np.searchsorted(ps, price, side="left")) - 1
-        if ps[i + 1] == ps[i]:
-            return qs[i]
-        return qs[i] + (price - ps[i]) * (qs[i + 1] - qs[i]) / (ps[i + 1] - ps[i])
+        if k == len(ps):
+            return self.quantity_cap
+        return float(qs[k - 1] + (price - ps[k - 1]) * (qs[k] - qs[k - 1]) / (ps[k] - ps[k - 1]))
 
     def cost_integral(self, q: float) -> float:
         """Integral of the inverse supply from 0 to ``q`` (procurement cost)."""
         if q < -1e-12:
             raise ValidationError("quantity must be nonnegative")
-        if self.kind != TABULATED:
-            return self.intercept * q + 0.5 * self.slope * q * q
         total = 0.0
         prev_q, prev_p = 0.0, self.breakpoints[0][1]
         for bq, bp in self.breakpoints:
@@ -224,24 +206,14 @@ class SupplyCurve:
 
 def aggregated_affine_curve(p: UniformLinearParams) -> SupplyCurve:
     """Pooled inverse supply implied by the closed-form equilibrium path."""
-    s3 = p.half_width
-    return SupplyCurve(
-        AFFINE,
-        quantity_cap=p.n_prosumers * (p.mu + s3) / 2.0,
-        intercept=p.gamma - p.lambda_rt * (p.mu - s3) / (2.0 * s3),
-        slope=p.lambda_rt / (p.n_prosumers * s3),
-    )
+    cap = p.n_prosumers * (p.mu + p.half_width) / 2.0
+    return SupplyCurve(tuple((x, inverse_supply_aggregated(p, x)) for x in (0.0, cap)))
 
 
 def direct_affine_curve(p: UniformLinearParams) -> SupplyCurve:
     """Collapsed inverse supply of N identical prosumers bidding directly."""
-    s3 = p.half_width
-    return SupplyCurve(
-        AFFINE,
-        quantity_cap=p.n_prosumers * (p.mu + s3),
-        intercept=p.gamma - p.lambda_rt * (p.mu - s3) / (2.0 * s3),
-        slope=p.lambda_rt / (2.0 * p.n_prosumers * s3),
-    )
+    n, top = p.n_prosumers, p.mu + p.half_width
+    return SupplyCurve(tuple((n * x, inverse_supply_direct(p, x)) for x in (0.0, top)))
 
 
 @dataclass(frozen=True)
@@ -253,8 +225,10 @@ class DispatchProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.demand < 0.0:
-            raise ValidationError("demand must be nonnegative")
+        if not self.generators:
+            raise ValidationError("the merit order needs at least one generator")
+        if not (math.isfinite(self.demand) and self.demand >= 0.0):
+            raise ValidationError(f"demand must be finite and nonnegative, got {self.demand}")
         if self.mode not in _MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.mode != MODE_NODER and self.der_supply is None:
@@ -294,81 +268,65 @@ class DispatchOutcome:
 
 
 def clear_market(problem: DispatchProblem) -> DispatchOutcome:
-    """Merit-order clearing by bisection on price.
+    """Exact merit-order clearing by walking the supply knots.
 
-    Every supply primitive is nondecreasing in price, so the clearing price
-    is the infimum price at which cumulative supply covers demand; it is
-    then snapped to the nearest marginal-cost breakpoint to keep generator
-    prices exact.  Ties at the clearing price split pro rata by remaining
-    headroom (resources with unbounded headroom absorb the residual).
+    Cumulative supply is nondecreasing and piecewise linear in price; it
+    jumps or bends only at the knots, which are the generators' marginal
+    prices and the DER curve's breakpoint prices.  The clearing price is
+    the first knot at which supply covers demand, unless the DER curve
+    alone closes the gap on the open interval below that knot; then the
+    price is read off the curve.  Ties at the clearing price split pro rata
+    by remaining headroom (resources with unbounded headroom absorb the
+    residual).
     """
     D = problem.demand
     gens = problem.generators
     curve = problem._curve()
 
-    def supply_at(p):
-        total = sum(g.supply_at(p) for g in gens)
+    def levels(p, strict=False):
+        """Each resource's largest output priced at (strictly below) ``p``."""
+        out = [g.supply_below(p) if strict else g.supply_at(p) for g in gens]
         if curve is not None:
-            total += curve.quantity_at(p)
-        return total
+            out.append(curve.quantity_below(p) if strict else curve.quantity_at(p))
+        return out
 
-    def supply_below(p):
-        total = sum(g.supply_below(p) for g in gens)
-        if curve is not None:
-            total += curve.quantity_below(p)
-        return total
-
-    snap_prices = sorted({p for g in gens for p in g.marginal_prices()}
-                         | ({p for p in curve.knot_prices()} if curve is not None else set()))
-    p_lo = min(snap_prices) - 1.0 if snap_prices else 0.0
-    p_hi = max(snap_prices) + 1.0 if snap_prices else 1.0
-    scale = max(D, 1.0)
-    if supply_at(p_hi) < D - _BALANCE_RTOL * scale:
-        raise MarketInfeasibleError(
-            "supply exhausted below demand", shortfall=D - supply_at(p_hi)
-        )
-    if supply_at(p_lo) >= D:
-        price = p_lo  # demand met by must-run output alone
+    knots = sorted({p for g in gens for p in g.marginal_prices()}
+                   | set(curve.knot_prices() if curve is not None else ()))
+    if sum(levels(knots[0], strict=True)) >= D:
+        price = knots[0] - 1.0  # demand met by must-run output alone
     else:
-        lo, hi = p_lo, p_hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if supply_at(mid) >= D:
-                hi = mid
-            else:
-                lo = mid
-        price = hi
-        for cand in snap_prices:
-            if abs(price - cand) <= 1e-7 * (1.0 + abs(cand)):
-                if supply_at(cand) >= D - _BALANCE_RTOL * scale:
-                    price = cand
-                break
+        floor = D - _BALANCE_RTOL * max(D, 1.0)
+        k = next((i for i, p in enumerate(knots) if sum(levels(p)) >= floor), None)
+        if k is None:
+            raise MarketInfeasibleError(
+                "supply exhausted below demand", shortfall=D - sum(levels(knots[-1]))
+            )
+        price = knots[k]
+        below = levels(price, strict=True)
+        if sum(below) > D:
+            # between two knots only the DER curve moves
+            price = max(curve.price_at(D - sum(below[:-1])), knots[k - 1])
 
-    resources = list(gens) + ([curve] if curve is not None else [])
-    base = [
-        (r.supply_below(price) if isinstance(r, GeneratorSpec) else r.quantity_below(price))
-        for r in resources
-    ]
-    at = [
-        (r.supply_at(price) if isinstance(r, GeneratorSpec) else r.quantity_at(price))
-        for r in resources
-    ]
+    base = levels(price, strict=True)
+    at = levels(price)
     head = [max(a - b, 0.0) for a, b in zip(at, base)]
     residual = D - sum(base)
     alloc = list(base)
     if residual > 0.0:
         infinite = [i for i, h in enumerate(head) if math.isinf(h)]
+        total_head = sum(head)
         if infinite:
             for i in infinite:
                 alloc[i] += residual / len(infinite)
-        else:
-            total_head = sum(head)
-            if total_head <= 0.0:
-                raise MarketInfeasibleError(
-                    "no headroom at the clearing price", shortfall=residual
-                )
+        elif total_head > 0.0:
             for i, h in enumerate(head):
                 alloc[i] += residual * h / total_head
+        elif residual > _BALANCE_RTOL * max(D, 1.0):
+            # a price read off the DER curve may leave an ulp, which the
+            # balance fix below absorbs
+            raise MarketInfeasibleError(
+                "no headroom at the clearing price", shortfall=residual
+            )
     # force exact balance against float drift
     diff = sum(alloc) - D
     if diff != 0.0:
@@ -491,7 +449,7 @@ def _tabulated_from_points(points) -> SupplyCurve:
         out.append((q, run))
     if len(out) < 2:
         out = [(0.0, out[0][1] if out else 0.0)] + out
-    return SupplyCurve(TABULATED, quantity_cap=out[-1][0], breakpoints=tuple(out))
+    return SupplyCurve(tuple(out))
 
 
 @dataclass(frozen=True)

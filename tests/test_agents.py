@@ -3,6 +3,8 @@ import pytest
 
 import deragg as dg
 from deragg.penalty import MIN_DRAWS, penalty_draws
+from oracles import _utility
+from workloads import TABULATED_SCENARIO
 
 from conftest import make_scenario
 
@@ -23,6 +25,22 @@ def test_tabulated_utility_hook():
     assert u.value(10.0) == pytest.approx(25.0, rel=1e-3)
     with pytest.raises(dg.ValidationError):
         dg.tabulated_utility([(0.0, 1.0), (1.0, 2.0)])  # increasing marginal
+
+
+def test_tabulated_utility_value_is_exact_and_batch_independent():
+    # u' is piecewise linear, so the trapezoid rule on the knots is exact
+    points = TABULATED_SCENARIO["scenario"]["utility"]["marginal_points"]
+    u = dg.tabulated_utility(points)
+    exact = _utility(points)
+    knots = [0.0, 12.0, 22.0, 34.0]
+    between = [5.0, 17.3, 28.0]
+    beyond = [40.0, 400.0]
+    z = np.array(knots + between + beyond)
+    assert np.max(np.abs(u.value(z) - exact(z))) <= 1e-12
+    for zi in z:
+        alone = u.value(float(zi))
+        assert abs(alone - float(exact(zi))) <= 1e-12
+        assert u.value(np.array([zi, 400.0]))[0] == alone
 
 
 def test_scenario_validation():

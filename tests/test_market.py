@@ -5,7 +5,7 @@ import pytest
 
 import deragg as dg
 from deragg.equilibrium import scenario_at_price
-from deragg.market import MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
+from deragg.market import _BALANCE_RTOL, MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
 from deragg.scenario import parse_scenario
 from oracles import tabulated_inverse_response
 from workloads import TABULATED_SCENARIO
@@ -42,29 +42,32 @@ def test_generator_piecewise_segments():
 
 def test_affine_curve_round_trip():
     curve = dg.aggregated_affine_curve(fig5_params())
+    (_, intercept), (cap, top) = curve.breakpoints
+    slope = (top - intercept) / cap
     q = 2.0
     assert curve.quantity_at(curve.price_at(q)) == pytest.approx(q, rel=1e-12)
-    assert curve.quantity_at(curve.intercept - 1.0) == 0.0
+    assert curve.quantity_at(intercept - 1.0) == 0.0
     assert curve.quantity_at(1e9) == curve.quantity_cap
-    assert curve.cost_integral(q) == pytest.approx(
-        curve.intercept * q + 0.5 * curve.slope * q * q
-    )
+    assert curve.cost_integral(q) == pytest.approx(intercept * q + 0.5 * slope * q * q)
+
+
+def _intercept_and_slope(curve):
+    (q0, p0), (q1, p1) = curve.breakpoints
+    return p0, (p1 - p0) / (q1 - q0)
 
 
 def test_affine_curve_slope_matches_closed_form():
     for n in (1, 3):
         p = fig5_params(n=n)
-        curve = dg.aggregated_affine_curve(p)
-        assert curve.slope == pytest.approx(p.lambda_rt / (n * dg.SQRT3 * p.sigma), rel=1e-12)
-        direct = dg.direct_affine_curve(p)
-        assert direct.slope == pytest.approx(curve.slope / 2.0, rel=1e-12)
-        assert direct.intercept == pytest.approx(curve.intercept, rel=1e-12)
+        intercept, slope = _intercept_and_slope(dg.aggregated_affine_curve(p))
+        assert slope == pytest.approx(p.lambda_rt / (n * dg.SQRT3 * p.sigma), rel=1e-12)
+        direct_intercept, direct_slope = _intercept_and_slope(dg.direct_affine_curve(p))
+        assert direct_slope == pytest.approx(slope / 2.0, rel=1e-12)
+        assert direct_intercept == pytest.approx(intercept, rel=1e-12)
 
 
 def test_tabulated_curve_interpolation_and_integral():
-    curve = dg.SupplyCurve(
-        "tabulated", 0.0, breakpoints=((0.0, 1.0), (2.0, 1.0), (4.0, 3.0))
-    )
+    curve = dg.SupplyCurve(((0.0, 1.0), (2.0, 1.0), (4.0, 3.0)))
     assert curve.quantity_cap == 4.0
     assert curve.price_at(1.0) == 1.0
     assert curve.price_at(3.0) == 2.0
@@ -76,7 +79,7 @@ def test_tabulated_curve_interpolation_and_integral():
     oracle = np.trapezoid([curve.price_at(float(q)) for q in qs], qs)
     assert curve.cost_integral(3.5) == pytest.approx(float(oracle), rel=1e-6)
     with pytest.raises(dg.ValidationError):
-        dg.SupplyCurve("tabulated", 0.0, breakpoints=((0.0, 2.0), (1.0, 1.0)))
+        dg.SupplyCurve(((0.0, 2.0), (1.0, 1.0)))
 
 
 def test_clear_noder_cost_is_kappa_times_demand():
@@ -137,6 +140,50 @@ def test_infeasible_demand():
     with pytest.raises(dg.MarketInfeasibleError) as err:
         dg.DispatchProblem((dg.GeneratorSpec(kappa=2.0, qmax=4.0),), 10.0, None, MODE_NODER)
     assert err.value.shortfall == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dg.GeneratorSpec(kappa=1.0, qmin=math.nan),
+    lambda: dg.GeneratorSpec(kappa=1.0, qmax=math.nan),
+    lambda: dg.GeneratorSpec(kappa=1.0, segments=((math.nan, 1.0),)),
+    lambda: dg.GeneratorSpec(kappa=1.0, segments=((1.0, math.nan),)),
+    lambda: dg.DispatchProblem((dg.GeneratorSpec(kappa=1.0),), math.nan, None, MODE_NODER),
+    lambda: dg.SupplyCurve(breakpoints=((0.0, 1.0), (1.0, math.nan))),
+], ids=["qmin", "qmax", "segment-price", "segment-width", "demand", "curve-breakpoint"])
+def test_market_rejects_nan_input(make):
+    with pytest.raises(dg.ValidationError):
+        make()
+
+
+def test_empty_merit_order_is_rejected():
+    with pytest.raises(dg.ValidationError):
+        dg.DispatchProblem((), 0.0, None, MODE_NODER)
+
+
+def test_exact_clearing_on_mixed_merit_order():
+    # the DER curve has a flat run at price 1; the segmented generator's
+    # marginal prices 2 and 4 lie strictly inside DER segments; the last
+    # generator must run at 1 and is the most expensive
+    curve = dg.SupplyCurve(((0.0, 1.0), (2.0, 1.0), (6.0, 3.0), (8.0, 5.0)))
+    gens = (
+        dg.GeneratorSpec(kappa=2.0, segments=((2.0, 3.0), (4.0, 2.0))),
+        dg.GeneratorSpec(kappa=6.0, qmin=1.0, qmax=5.0),
+    )
+    knots = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}
+    off_knot = set()
+    for demand in np.linspace(1.0, 18.0, 69):
+        out = dg.clear_market(dg.DispatchProblem(gens, float(demand), curve, MODE_DIRECT))
+        p = out.clearing_price
+        below = sum(g.supply_below(p) for g in gens) + curve.quantity_below(p)
+        at = sum(g.supply_at(p) for g in gens) + curve.quantity_at(p)
+        slack = _BALANCE_RTOL * max(demand, 1.0)
+        assert below - slack <= demand <= at + slack
+        if 0.0 < out.cleared_der < curve.quantity_cap:  # the DER curve is marginal
+            assert abs(p - curve.price_at(out.cleared_der)) <= 1e-12
+        if p not in knots and p > 1.0:
+            off_knot.add(int(p))
+    # the DER curve alone set the price inside (1, 2), (2, 3), (3, 4) and (4, 5)
+    assert off_knot == {1, 2, 3, 4}
 
 
 def test_cost_monotone_in_demand():
