@@ -231,13 +231,7 @@ def cmd_supply_curve(args) -> int:
     seed = _resolve_seed(args, sf)
     draws = _resolve_draws(args, sf)
     if args.mode == "agg":
-        curve = build_supply_curve_aggregated(
-            sf.scenario,
-            tol_rho=sf.solver.tol_rho,
-            tol_x=sf.solver.tol_x,
-            draws=draws,
-            seed=seed,
-        )
+        curve = build_supply_curve_aggregated(sf.scenario, draws=draws, seed=seed)
     else:
         curve = build_supply_curve_direct(sf.scenario, draws=draws, seed=seed)
     rows = [[q, p] for q, p in curve.breakpoints]

@@ -192,8 +192,8 @@ class _InverseResponse:
     The FOC gap is affine in rho with slope 1/lambda_rt, so one gap
     evaluation at the reference price ``rho_ref`` gives the price at which
     ``x`` is the symmetric best response.  rho(x) does not depend on
-    lambda_da, so one instance serves the leader searches at every
-    wholesale price of a supply curve.
+    lambda_da, so one table of it gives the leader's offer at every
+    wholesale price (the aggregated supply curve).
     """
 
     def __init__(self, scenario: GameScenario, rho_ref: float, draws: int, seed: int):
@@ -228,21 +228,16 @@ def stackelberg_solve(
     capacity the optimum is explicit: the full capacity at ``tol_rho``
     above the indifference price.
     """
-    bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
-    inverse = _InverseResponse(scenario, bounds[0], draws, seed)
-    return _leader_solve(scenario, inverse, bounds, tol_rho, tol_x, grid_points)
-
-
-def _leader_solve(scenario, inverse, bounds, tol_rho, tol_x, grid_points) -> EquilibriumResult:
-    """Finite-N leader optimum at the scenario's lambda_da against ``inverse``."""
     if grid_points < 4:
         raise ValidationError("grid_points must be at least 4")
     _warn_if_off_band(scenario)
+    bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
+    inverse = _InverseResponse(scenario, bounds[0], draws, seed)
     lo = max(0.0, bounds[0])
     hi = min(scenario.lambda_da, bounds[1])
     n = scenario.n_prosumers
     cbar = scenario.capacity.cbar
-    diag = SolverDiagnostics(0, 0, 0.0, True, False, inverse.seed, inverse.draws)
+    diag = SolverDiagnostics(0, 0, 0.0, True, False, seed, draws)
     if hi <= lo:
         # nothing to trade: every admissible price draws a zero offer
         rho_star, x_star = min(scenario.lambda_da, lo), 0.0
@@ -253,7 +248,7 @@ def _leader_solve(scenario, inverse, bounds, tol_rho, tol_x, grid_points) -> Equ
         diag = replace(diag, notes=("deterministic capacity; full offer just above indifference",))
     else:
         x_star, rho_star, diag = _offer_search(
-            inverse, scenario.lambda_da, n, cbar, grid_points, tol_x, inverse.seed, inverse.draws
+            inverse, scenario.lambda_da, n, cbar, grid_points, tol_x, seed, draws
         )
         if 0.0 < x_star < cbar:
             diag = replace(diag, follower_residual=abs(inverse.gap(rho_star, x_star)))
@@ -431,11 +426,6 @@ def shortfall_ratio_convergence(
     return out
 
 
-def scenario_at_price(scenario: GameScenario, wholesale_price: float) -> GameScenario:
-    """Copy of the scenario with the day-ahead price replaced."""
-    return replace(scenario, lambda_da=float(wholesale_price))
-
-
 def _warn_if_off_band(scenario: GameScenario) -> None:
     # the numeric search stays defined off the closed-form band, but the
     # equilibrium price path pins to its boundary there; flag it
@@ -451,7 +441,7 @@ def _warn_if_off_band(scenario: GameScenario) -> None:
         warnings.warn(
             f"sigma={cap.sigma:.6g} outside the closed-form band [{lo:.6g}, {hi:.6g}]; "
             "numeric equilibrium remains defined but has no closed-form counterpart",
-            stacklevel=4,
+            stacklevel=3,
         )
 
 

@@ -2,14 +2,17 @@
 
 The system operator meets an inelastic demand from dispatchable generators
 plus a DER supply curve: the pooled offer under aggregated participation,
-or, under direct participation, the collapsed per-prosumer offers.  A
-prosumer bidding directly plays no cost-sharing game, so its offer curve
-is the inverse response rho_1(y) of the one-prosumer game, read off on a
-grid of offers.  All supply is nondecreasing and piecewise linear in price,
-so clearing walks the merit order's knots to the price at which cumulative
-supply meets demand; the clearing price is the marginal cost of the
-marginal resource.  Transmission constraints are intentionally absent and
-demand is a point forecast.
+or, under direct participation, the collapsed per-prosumer offers.  Both
+are read off the inverse response rho(x) on a grid of offers.  The
+aggregator buying N * x pays the outlay N * x * rho(x), so its offer curve
+is the slope of the lower convex hull of x * rho(x), its marginal outlay.
+A prosumer bidding directly plays no cost-sharing game, so its offer
+curve is the inverse response rho_1(y) of the one-prosumer game.  All
+supply is nondecreasing and piecewise linear in price, so clearing walks
+the merit order's knots to the price at which cumulative supply meets
+demand; the clearing price is the marginal cost of the marginal
+resource.  Transmission constraints are intentionally absent and demand
+is a point forecast.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ import numpy as np
 from .agents import LINEAR, GameScenario
 from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC
 from .closedform import UniformLinearParams, inverse_supply_aggregated, inverse_supply_direct
-from .equilibrium import (
-    _InverseResponse,
-    _leader_solve,
-    offer_price_bounds,
-    scenario_at_price,
-)
-from .errors import MarketInfeasibleError, SolverError, ValidationError
+from .equilibrium import _InverseResponse, offer_price_bounds
+from .errors import MarketInfeasibleError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 MODE_AGGREGATED = "aggregated"
@@ -342,60 +340,70 @@ def clear_market(problem: DispatchProblem) -> DispatchOutcome:
     return DispatchOutcome(gen_q, der_q, price, cost, D)
 
 
-def _default_wholesale_grid(scenario: GameScenario, n_points: int) -> np.ndarray:
-    model = scenario.capacity
-    rho_min, rho_max = offer_price_bounds(scenario)
-    if model.kind == DETERMINISTIC:
-        return np.linspace(rho_min + 1e-6, rho_max, n_points)
-    if model.kind == DEPENDENT_UNIFORM and scenario.utility.kind == LINEAR:
-        lo_s, hi_s = model.support
-        s3 = 0.5 * (hi_s - lo_s)
-        p_lo = scenario.utility.gamma + scenario.lambda_rt * lo_s / (2.0 * s3)
-        p_hi = scenario.utility.gamma + scenario.lambda_rt
-        p_lo = min(max(p_lo, rho_min + 1e-9), p_hi - 1e-9)
-        return np.linspace(p_lo, p_hi, n_points)
-    return np.linspace(rho_min + 1e-9, rho_max, n_points)
+def _offers(model, n_points: int) -> list[float]:
+    """``n_points`` offers on [0, cbar] plus the support ends (the kinks of F)."""
+    # a sorted set, not np.unique, whose first call raises the process's peak memory
+    return sorted({*np.linspace(0.0, model.cbar, n_points).tolist(), *model.support})
 
 
 def build_supply_curve_aggregated(
     scenario: GameScenario,
-    price_grid=None,
-    n_points: int = 33,
-    tol_rho: float = 1e-6,
-    tol_x: float = 1e-8,
-    grid_points: int = 256,
+    n_points: int = 256,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> SupplyCurve:
-    """Tabulate the pooled equilibrium offer against a wholesale price grid.
+    """Pooled offer: the slope of the lower convex hull of the outlay x * rho(x).
 
-    Each grid price is treated as the day-ahead price of a fresh pricing
-    game; inverting the resulting quantity path yields the aggregator's
-    offer curve.  The inverse response rho(x) does not depend on the
-    wholesale price, so one memoised table of it serves every price, and
-    each price adds only its own leader search.  The default grid spans the
-    range on which the equilibrium price path is interior.
+    At wholesale price p the aggregator buys the pooled offer N * x that
+    maximises N * (p * x - R(x)) with R(x) = x * rho(x), so its offer curve
+    is the slope of the lower convex hull of R: the marginal outlay
+    rho + x * rho' where R is convex, ironed flat where it is not.  R is
+    read off at ``n_points`` offers on [0, cbar] plus the support ends
+    (the kinks of rho), all from one inverse-response table.  A hull
+    edge one offer wide contributes (N * midpoint, secant slope), exact
+    for a quadratic R; a wider edge is ironed, flat at its slope between
+    its ends, and the curve rises from its right end.  The curve is cut at
+    the wholesale price rho_max, at which the followers offer their whole
+    capacity.
     """
-    if price_grid is None:
-        price_grid = _default_wholesale_grid(scenario, n_points)
-    bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
-    inverse = _InverseResponse(scenario, bounds[0], draws, seed)
-    points, failures = [], []
-    for p in np.asarray(price_grid, dtype=float):
-        try:
-            res = _leader_solve(
-                scenario_at_price(scenario, p), inverse, bounds, tol_rho, tol_x, grid_points
-            )
-            points.append((res.aggregate_x, float(p)))
-        except (SolverError, ValidationError) as exc:
-            failures.append((float(p), str(exc)))
-    if failures:
-        raise SolverError(
-            "supply-curve construction failed at some wholesale prices",
-            failed_prices=tuple(p for p, _ in failures),
-            details=tuple(failures),
-        )
-    return _tabulated_from_points(points)
+    rho_min, rho_max = offer_price_bounds(scenario, draws=draws, seed=seed)
+    model = scenario.capacity
+    n = scenario.n_prosumers
+    if model.kind == DETERMINISTIC:
+        return SupplyCurve(((0.0, rho_min), (n * model.cbar, rho_min)))
+    rho = _InverseResponse(scenario, rho_min, draws, seed)
+    xs = _offers(model, n_points)
+    rs = [x * rho(x) for x in xs]
+    hull = []  # monotone chain over offer indices
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            left = (xs[b] - xs[a]) * (rs[i] - rs[a])
+            right = (rs[b] - rs[a]) * (xs[i] - xs[a])
+            # keep b only strictly below the chord a-i: float noise must not
+            # split a straight run, such as rho = rho_min below the support
+            if left - right > 1e-12 * (abs(left) + abs(right)):
+                break
+            hull.pop()
+        hull.append(i)
+    points = []
+    for a, b in zip(hull, hull[1:]):
+        slope = (rs[b] - rs[a]) / (xs[b] - xs[a])
+        if b == a + 1:
+            points.append((n * 0.5 * (xs[a] + xs[b]), slope))
+        else:
+            points += [(n * xs[a], slope), (n * xs[b], slope)]
+    # cut the curve at rho_max, above which the followers offer all they
+    # have; a point a rounding error below it is cut too, not kept next to
+    # the cut
+    tol = 1e-12 * (rho_max - rho_min)
+    k = next((k for k, (_, p) in enumerate(points) if p > rho_max - tol), None)
+    if k is None:
+        points.append((n * xs[-1], rho_max))
+    else:
+        (q0, p0), (q1, p1) = points[k - 1], points[k]
+        points[k:] = [(q0 + (rho_max - p0) * (q1 - q0) / (p1 - p0), rho_max)]
+    return SupplyCurve(tuple(points))
 
 
 def build_supply_curve_direct(
@@ -419,37 +427,16 @@ def build_supply_curve_direct(
     model = scenario.capacity
     n = scenario.n_prosumers
     if model.kind == DETERMINISTIC:
-        return _tabulated_from_points([(0.0, rho_min), (n * model.cbar, rho_min)])
+        return SupplyCurve(((0.0, rho_min), (n * model.cbar, rho_min)))
     rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), rho_min, draws, seed)
-    # a sorted set, not np.unique, whose first call raises the process's peak memory
-    offers = sorted({*np.linspace(0.0, model.cbar, n_points).tolist(), *model.support})
     points = []
-    for y in offers:
+    for y in _offers(model, n_points):
         p = rho_1(y)
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
             points[-1] = (n * y, p)  # stretch the flat run to its largest offer
         else:
             points.append((n * y, p))
-    return _tabulated_from_points(points)
-
-
-def _tabulated_from_points(points) -> SupplyCurve:
-    pts = sorted(points)
-    dedup: list[tuple[float, float]] = []
-    for q, p in pts:
-        if dedup and abs(q - dedup[-1][0]) <= 1e-12:
-            dedup[-1] = (dedup[-1][0], min(dedup[-1][1], p))
-        else:
-            dedup.append((q, p))
-    # enforce nondecreasing price against solver jitter
-    out = []
-    run = -math.inf
-    for q, p in dedup:
-        run = max(run, p)
-        out.append((q, run))
-    if len(out) < 2:
-        out = [(0.0, out[0][1] if out else 0.0)] + out
-    return SupplyCurve(tuple(out))
+    return SupplyCurve(tuple(points))
 
 
 @dataclass(frozen=True)
@@ -497,8 +484,9 @@ def der_curves(
     """Aggregated and direct DER supply curves, and the source that built them.
 
     ``source`` is ``closedform`` (exact affine, dependent-uniform linear
-    scenarios only), ``numeric`` (tabulated from equilibrium solves), or
-    ``auto``, which picks the closed form wherever it applies.
+    scenarios only), ``numeric`` (read off the inverse response rho: the
+    hull slope of x * rho(x) and the one-prosumer rho_1), or ``auto``,
+    which picks the closed form wherever it applies.
     """
     if source == "auto":
         use_closed = (
@@ -537,8 +525,14 @@ def price_of_aggregation(
     out_agg = clear_market(DispatchProblem(generators, demand, agg_curve, MODE_AGGREGATED))
     out_dir = clear_market(DispatchProblem(generators, demand, dir_curve, MODE_DIRECT))
     poag = out_agg.total_cost / out_dir.total_cost
+    # with dependent capacity the pooled offer never undercuts the direct one;
+    # with iid capacity pooling hedges shortfalls and PoAg < 1 is genuine
     kappa_min = min(p for g in generators for p in g.marginal_prices())
-    if agg_curve.price_at(0.0) < kappa_min and poag < 1.0 - 1e-9:
+    if (
+        scenario.capacity.kind == DEPENDENT_UNIFORM
+        and agg_curve.price_at(0.0) < kappa_min
+        and poag < 1.0 - 1e-9
+    ):
         raise ValidationError("competitive DER produced poag < 1; clearing is inconsistent")
     return PoAgReport(
         cost_aggregated=out_agg.total_cost,

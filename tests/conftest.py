@@ -1,4 +1,3 @@
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +6,6 @@ import pytest
 import deragg as dg
 
 ROOT = Path(__file__).resolve().parents[1]
-# the benchmark's modules import one another by top-level name
-sys.path.insert(0, str(ROOT / "bench"))
 
 
 def coverage_by_quadrature(scenario, x, m=2001):
@@ -24,6 +21,15 @@ def coverage_by_quadrature(scenario, x, m=2001):
     weight = 1.0 + s_plus * (s - s_plus) / denom**2
     cell = ((hi - lo) / m) ** 2
     return float(np.sum(np.where(event, weight, 0.0)) * cell / (hi - lo) ** 2)
+
+
+def coverage_n2(scenario, x):
+    """Exact coverage term h(x) for two iid uniform prosumers, lo <= x <= hi."""
+    lo, hi = scenario.capacity.support
+    w = hi - lo
+    if x <= scenario.capacity.mu:
+        return (x - lo) ** 2 / (2.0 * w * w)
+    return (hi - x) * (3.0 * x - 2.0 * lo - hi) / (2.0 * w * w)
 
 
 def make_scenario(kind="dependent", n=1, mu=10.0, sigma=3.3, gamma=2.5,

@@ -4,7 +4,7 @@ import pytest
 import deragg as dg
 from deragg.equilibrium import partial_coverage_samples
 
-from conftest import coverage_by_quadrature, make_scenario
+from conftest import coverage_by_quadrature, coverage_n2, make_scenario
 
 
 def test_rho_bounds_linear():
@@ -98,6 +98,20 @@ def test_coverage_term_against_quadrature(iid2_scenario):
         assert 0.0 <= vals.mean() <= 1.0
 
 
+def test_coverage_term_matches_exact_two_prosumer_formula(iid2_scenario):
+    sc = iid2_scenario
+    mu = sc.capacity.mu
+    assert coverage_n2(sc, mu) == pytest.approx(0.125, abs=1e-15)
+    assert coverage_n2(sc, mu + 1e-9) == pytest.approx(0.125, abs=1e-9)
+    caps = dg.sample(sc.capacity, 2, 11, 1_000_000)
+    for x in (5.0, 7.0, 9.5, 10.0, 12.0, 15.0):
+        exact = coverage_n2(sc, x)
+        vals = partial_coverage_samples(sc, x, 1_000_000, 11, caps=caps)
+        se = vals.std() / np.sqrt(len(vals))
+        assert abs(vals.mean() - exact) <= 3.0 * se
+        assert coverage_by_quadrature(sc, x, m=2001) == pytest.approx(exact, abs=2e-4)
+
+
 def test_coverage_term_nondecreasing_low_region(iid2_scenario):
     got = [
         dg.partial_coverage_term(iid2_scenario, x, draws=200_000, seed=5)
@@ -161,6 +175,12 @@ def test_stackelberg_deterministic_prices_just_above_indifference():
     assert res.x_star == 10.0
     assert 2.5 < res.rho_star < 2.5 + 2.0 * (4.0 - 2.5) / 127
     assert res.leader_profit == pytest.approx((4.0 - res.rho_star) * 10.0)
+
+
+def test_off_band_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="outside the closed-form band") as record:
+        dg.stackelberg_solve(make_scenario(sigma=3.0), grid_points=32)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_stackelberg_zero_wholesale_price():

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import deragg as dg
-from deragg.equilibrium import scenario_at_price
+from deragg.equilibrium import _InverseResponse
 from deragg.market import _BALANCE_RTOL, MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
 from deragg.scenario import parse_scenario
 from oracles import tabulated_inverse_response
@@ -228,10 +229,14 @@ def test_cleared_halving_across_sigma_band(fig3_scenario):
 
 
 def test_numeric_aggregated_curve_matches_closed_form(fig3_scenario):
-    curve = dg.build_supply_curve_aggregated(fig3_scenario, n_points=9, grid_points=128)
+    # below N*lo the affine formula runs under gamma, outside the game; the
+    # numeric curve is flat at rho_min there
+    curve = dg.build_supply_curve_aggregated(fig3_scenario, n_points=9)
     p = dg.closed_form_params(fig3_scenario)
+    n_lo = p.n_prosumers * fig3_scenario.capacity.support[0]
     for q, price in curve.breakpoints:
-        assert price == pytest.approx(dg.inverse_supply_aggregated(p, q), abs=1e-4)
+        if q > n_lo:
+            assert price == pytest.approx(dg.inverse_supply_aggregated(p, q), abs=1e-4)
 
 
 def test_numeric_direct_curve_matches_closed_form(fig3_scenario):
@@ -251,7 +256,7 @@ def test_direct_curve_same_for_iid_marginal():
 
 def test_deterministic_aggregated_curve_is_vertical_then_flat():
     sc = make_scenario(kind="deterministic", mu=10.0, d0=11.0)
-    curve = dg.build_supply_curve_aggregated(sc, n_points=7, grid_points=128)
+    curve = dg.build_supply_curve_aggregated(sc, n_points=7)
     assert curve.quantity_cap == 10.0
     assert curve.price_at(9.9) == pytest.approx(2.5, abs=1e-3)
 
@@ -284,16 +289,23 @@ def test_dispatch_outcome_balance_guard():
 @pytest.mark.filterwarnings("ignore:sigma=.*outside the closed-form band")
 @pytest.mark.parametrize("kind,n", [("dependent", 1), ("iid", 2)])
 def test_aggregated_curve_matches_per_price_solves(kind, n):
-    # the curve shares one inverse-response table across prices; each point
-    # must still be the full leader solve at that wholesale price
+    # the hull slope of x*rho(x) must give the leader's choice at each
+    # wholesale price: the same offer for a smooth rho, the same profit
+    # where Monte-Carlo noise in rho leaves near-ties between offers
     sc = make_scenario(kind=kind, n=n)
-    prices = [3.6, 4.0, 4.6]
-    curve = dg.build_supply_curve_aggregated(
-        sc, price_grid=prices, grid_points=64, draws=10_000, seed=3
-    )
-    for (q, p), price in zip(curve.breakpoints, prices):
+    curve = dg.build_supply_curve_aggregated(sc, draws=10_000, seed=3)
+    rho_min, rho_max = dg.offer_price_bounds(sc, draws=10_000, seed=3)
+    rho = _InverseResponse(sc, rho_min, 10_000, 3)
+    step = n * sc.capacity.cbar / 256
+    for price in np.linspace(rho_min, rho_max, 22)[1:-1]:
         res = dg.stackelberg_solve(
-            scenario_at_price(sc, price), grid_points=64, draws=10_000, seed=3
+            replace(sc, lambda_da=float(price)), grid_points=64, draws=10_000, seed=3
         )
-        assert p == price
-        assert q == pytest.approx(res.aggregate_x, abs=1e-8)
+        q = curve.quantity_at(price)
+        if kind == "dependent":
+            assert q == pytest.approx(res.aggregate_x, abs=step)
+        else:
+            profit = (price - rho(q / n)) * q
+            assert profit == pytest.approx(
+                res.leader_profit, abs=1e-2 * max(res.leader_profit, 1.0)
+            )

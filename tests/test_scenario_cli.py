@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from deragg.errors import ValidationError
 from deragg.market import GeneratorSpec
 from deragg.scenario import apply_sweep_value, load_scenario, parse_scenario
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 BASE = {
     "schema_version": "1",
@@ -147,6 +149,25 @@ def test_cli_poag_and_dispatch(tmp_path, capsys):
         assert cli.main(["dispatch", path, "--mode", mode]) == 0
         drow = read_table(capsys.readouterr().out)[0]
         assert float(drow["cleared_der"]) == pytest.approx(der, abs=1e-4)
+
+
+def test_cli_poag_iid_below_one(capsys):
+    # pooling iid capacities hedges shortfalls, so aggregation can be cheaper
+    assert cli.main(["poag", str(SCENARIOS / "iid.json")]) == 0
+    assert float(read_table(capsys.readouterr().out)[0]["poag"]) < 1.0
+
+
+def test_cli_numeric_poag_clears_aggregated_der_at_support_low_end(capsys):
+    # at kappa = 3.25 the leader buys the whole flat run rho = gamma up to N*lo
+    path = SCENARIOS / "base.json"
+    assert cli.main(["poag", str(path), "--curve-source", "numeric"]) == 0
+    row = read_table(capsys.readouterr().out)[0]
+    capacity = load_scenario(path).scenario.capacity
+    half_step = 0.5 * capacity.cbar / 256
+    assert float(row["cleared_der_aggregated"]) == pytest.approx(
+        capacity.support[0], abs=half_step
+    )
+    assert float(row["poag"]) == pytest.approx(1.0282, abs=1e-3)
 
 
 def test_cli_supply_curve(tmp_path, capsys):
