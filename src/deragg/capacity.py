@@ -141,12 +141,23 @@ def expected_shortfall(model: CapacityModel, x):
     return out if out.ndim else float(out)
 
 
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it is a valid stream key, 0 <= seed < 2**128.
+
+    The Philox stream of :func:`sample` takes its seed as a 128-bit key.
+    """
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must be >= 0 and < 2**128, got {seed}")
+    return seed
+
+
 def sample(model: CapacityModel, n: int, rng_seed: int, draws: int = 1) -> np.ndarray:
     """Draw capacity vectors, shape ``(draws, n)``.
 
     Uses a counter-based Philox stream so draws are reproducible given the
     seed and independent across distinct seeds.
     """
+    check_seed(rng_seed)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if draws < 1:

@@ -11,12 +11,13 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .agents import GameScenario, linear_utility
-from .capacity import SQRT3, dependent_uniform
+from .capacity import SQRT3, check_seed, dependent_uniform
 from .closedform import (
     UniformLinearParams,
     closed_form_equilibrium,
@@ -44,7 +45,7 @@ from .market import (
     price_of_aggregation,
 )
 from .penalty import penalty_shares
-from .scenario import ScenarioFile, apply_sweep_value, load_scenario
+from .scenario import ScenarioFile, SolverSettings, apply_sweep_value, load_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -110,20 +111,24 @@ def _meta(sf: ScenarioFile, seed: int, draws: int) -> dict:
     }
 
 
-def _resolve_seed(args, sf: ScenarioFile) -> int:
+def _resolve_seed(args, sf: ScenarioFile | None = None) -> int:
     if args.seed is not None:
-        return args.seed
+        return check_seed(args.seed)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return sf.solver.seed
+        return check_seed(seed)
+    return sf.solver.seed if sf is not None else 0
 
 
-def _resolve_draws(args, sf: ScenarioFile) -> int:
-    return args.draws if args.draws is not None else sf.solver.draws
+def _resolve_draws(args, sf: ScenarioFile | None = None) -> int:
+    solver = sf.solver if sf is not None else SolverSettings()
+    if args.draws is None:
+        return solver.draws
+    return replace(solver, draws=args.draws).draws
 
 
 def _penalty_axiom_issues(seed: int, instances: int = 10_000) -> list[str]:
@@ -180,6 +185,7 @@ def _axiom_violations(rng, k: int) -> set[str]:
 def cmd_validate(args) -> int:
     sf = load_scenario(args.file)
     seed = _resolve_seed(args, sf)
+    _resolve_draws(args, sf)  # nothing here samples, but a bad override is still an error
     issues = _penalty_axiom_issues(seed)
     if args.closed_form:
         closed_form_params(sf.scenario)  # raises AdmissibilityError off the band
@@ -416,7 +422,8 @@ def _figure_generator():
 
 
 def cmd_figures(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, "0"))
+    seed = _resolve_seed(args)
+    _resolve_draws(args)  # nothing here samples, but a bad override is still an error
     os.makedirs(args.out, exist_ok=True)
     # every figure is a closed form: no solver tolerance or draw count applies
     meta = {"schema_version": "1", "seed": seed, "build": f"deragg-{__version__}"}

@@ -84,8 +84,38 @@ def offer_price_bounds(
     return rho_min, rho_max
 
 
+@dataclass(frozen=True)
+class _CoverageDraws:
+    """Capacity draws laid out for the coverage kernel, once per solve.
+
+    ``own`` holds the own capacities C_i in ascending order; row j of
+    ``rivals`` holds rival j's capacity in the same draw order, and
+    ``rival_sum``/``rival_max`` reduce the rivals of each draw.
+    """
+
+    own: np.ndarray
+    rivals: np.ndarray
+    rival_sum: np.ndarray
+    rival_max: np.ndarray
+
+
+def _coverage_layout(caps: np.ndarray) -> _CoverageDraws:
+    """Lay out a ``(draws, N)`` capacity array, column 0 the own capacity."""
+    order = np.argsort(caps[:, 0], kind="stable")
+    rivals = np.empty((caps.shape[1] - 1, caps.shape[0]))
+    for j, row in enumerate(rivals, start=1):
+        np.take(caps[:, j], order, out=row)
+    return _CoverageDraws(
+        caps[order, 0], rivals, rivals.sum(axis=0), rivals.max(axis=0, initial=-np.inf)
+    )
+
+
 def partial_coverage_samples(
-    scenario: GameScenario, x: float, draws: int, seed: int, caps: np.ndarray | None = None
+    scenario: GameScenario,
+    x: float,
+    draws: int,
+    seed: int,
+    caps: np.ndarray | _CoverageDraws | None = None,
 ) -> np.ndarray:
     """Per-draw integrand of the finite-N coverage correction at symmetric offers.
 
@@ -94,17 +124,30 @@ def partial_coverage_samples(
     small enough that the pool is still short}`` where ``s``/``S`` are the
     signed and positive-part rival shortfall sums.  The weight lies in
     [0, 1]; the mean over draws estimates the correction.
+
+    ``caps`` is a raw ``(draws, N)`` capacity array (column 0 the own
+    capacity) or the layout a solve prepares once; without it the draws
+    are sampled.  Entries come in ascending order of the own capacity,
+    not in draw order.  The event needs C_i <= x, so only that prefix of
+    the draws is reduced; the entries past it are 0.
     """
     if caps is None:
         caps = sample(scenario.capacity, scenario.n_prosumers, seed, draws)
-    own = caps[:, 0]
-    rival_diff = x - caps[:, 1:]
-    s = rival_diff.sum(axis=1)
-    s_plus = np.maximum(rival_diff, 0.0).sum(axis=1)
-    event = (s < s_plus) & (own <= x + np.minimum(s, 0.0))
+    if not isinstance(caps, _CoverageDraws):
+        caps = _coverage_layout(caps)
+    k = int(np.searchsorted(caps.own, x, "right"))
+    own = caps.own[:k]
+    s_plus = np.zeros(k)
+    short = np.empty(k)
+    for row in caps.rivals:
+        np.subtract(x, row[:k], out=short)
+        s_plus += np.maximum(short, 0.0, out=short)
+    s = len(caps.rivals) * x - caps.rival_sum[:k]
+    event = (caps.rival_max[:k] > x) & (own <= x + np.minimum(s, 0.0))
     denom = np.where(event, s_plus + x - own, 1.0)
-    weight = 1.0 + s_plus * (s - s_plus) / denom**2
-    return np.where(event, weight, 0.0)
+    out = np.zeros(len(caps.own))
+    out[:k] = np.where(event, 1.0 + s_plus * (s - s_plus) / denom**2, 0.0)
+    return out
 
 
 def partial_coverage_term(
@@ -134,7 +177,7 @@ def follower_foc_gap(
     x: float,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
-    _caps: np.ndarray | None = None,
+    _caps: _CoverageDraws | None = None,
 ) -> float:
     """Signed gap of the symmetric first-order condition at offer ``x``.
 
@@ -155,9 +198,9 @@ def follower_foc_gap(
 
 
 def _coverage_caps(scenario, draws, seed):
-    """Capacity draws behind the coverage term, sampled once per solve (or None)."""
+    """Capacity draws behind the coverage term, sampled and laid out once per solve (or None)."""
     if scenario.capacity.kind == IID_UNIFORM and scenario.n_prosumers >= 2:
-        return sample(scenario.capacity, scenario.n_prosumers, seed, draws)
+        return _coverage_layout(sample(scenario.capacity, scenario.n_prosumers, seed, draws))
     return None
 
 

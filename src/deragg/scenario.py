@@ -16,6 +16,7 @@ from .capacity import (
     DETERMINISTIC,
     IID_UNIFORM,
     CapacityModel,
+    check_seed,
     dependent_uniform,
     deterministic,
     iid_uniform,
@@ -45,8 +46,11 @@ class SolverSettings:
     rho_grid_points: int = 512
 
     def __post_init__(self):
-        if self.draws < 1 or self.rho_grid_points < 4:
-            raise ValidationError("draws must be >= 1 and rho_grid_points >= 4")
+        if self.draws < 1:
+            raise ValidationError(f"draws must be >= 1, got {self.draws}")
+        if self.rho_grid_points < 4:
+            raise ValidationError(f"rho_grid_points must be >= 4, got {self.rho_grid_points}")
+        check_seed(self.seed)
         if self.tol_x <= 0.0 or self.tol_rho <= 0.0:
             raise ValidationError("tolerances must be positive")
 

@@ -8,19 +8,30 @@ import deragg as dg
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def coverage_reference(caps, x):
+    """Coverage integrand of each row of a ``(draws, N)`` capacity array, in
+    row order, reduced along the rivals of every row (column 0 is the own
+    capacity).  ``partial_coverage_samples`` must agree with it up to order.
+    """
+    own = caps[:, 0]
+    rival_diff = x - caps[:, 1:]
+    s = rival_diff.sum(axis=1)
+    s_plus = np.maximum(rival_diff, 0.0).sum(axis=1)
+    event = (s < s_plus) & (own <= x + np.minimum(s, 0.0))
+    denom = np.where(event, s_plus + x - own, 1.0)
+    weight = 1.0 + s_plus * (s - s_plus) / denom**2
+    return np.where(event, weight, 0.0)
+
+
 def coverage_by_quadrature(scenario, x, m=2001):
     """Brute-force 2-D midpoint quadrature of the coverage integrand (N=2)."""
     lo, hi = scenario.capacity.support
     edges = np.linspace(lo, hi, m + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     c_own, c_rival = np.meshgrid(mids, mids, indexing="ij")
-    s = x - c_rival
-    s_plus = np.maximum(s, 0.0)
-    event = (s < s_plus) & (c_own <= x + np.minimum(s, 0.0))
-    denom = np.where(event, s_plus + x - c_own, 1.0)
-    weight = 1.0 + s_plus * (s - s_plus) / denom**2
+    vals = coverage_reference(np.column_stack([c_own.ravel(), c_rival.ravel()]), x)
     cell = ((hi - lo) / m) ** 2
-    return float(np.sum(np.where(event, weight, 0.0)) * cell / (hi - lo) ** 2)
+    return float(np.sum(vals) * cell / (hi - lo) ** 2)
 
 
 def coverage_n2(scenario, x):

@@ -132,6 +132,15 @@ def test_sample_validation():
         dg.sample(m, 1, rng_seed=1, draws=0)
 
 
+@pytest.mark.parametrize("model", [dg.iid_uniform(10.0, 3.3), dg.deterministic(10.0)],
+                         ids=["iid", "deterministic"])
+def test_sample_seed_must_be_a_128_bit_key(model):
+    for seed in (-1, 2**128):
+        with pytest.raises(dg.ValidationError, match="seed must be >= 0 and < 2\\*\\*128"):
+            dg.sample(model, 2, rng_seed=seed, draws=3)
+    assert dg.sample(model, 2, rng_seed=2**128 - 1, draws=3).shape == (3, 2)
+
+
 @pytest.mark.parametrize("kind", [DEPENDENT_UNIFORM, IID_UNIFORM])
 def test_empirical_cdf_matches_marginal(kind):
     maker = dg.dependent_uniform if kind == DEPENDENT_UNIFORM else dg.iid_uniform

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import deragg as dg
-from deragg.equilibrium import partial_coverage_samples
+from deragg.equilibrium import _coverage_caps, partial_coverage_samples
 
-from conftest import coverage_by_quadrature, coverage_n2, make_scenario
+from conftest import coverage_by_quadrature, coverage_n2, coverage_reference, make_scenario
 
 
 def test_rho_bounds_linear():
@@ -110,6 +112,44 @@ def test_coverage_term_matches_exact_two_prosumer_formula(iid2_scenario):
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 3.0 * se
         assert coverage_by_quadrature(sc, x, m=2001) == pytest.approx(exact, abs=2e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_coverage_kernel_matches_reference_formula(n):
+    cap = dg.iid_uniform(10.0, 3.3, cbar=18.0)
+    sc = dg.GameScenario(n, 30.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
+    draws = 20_000
+    caps = dg.sample(cap, n, 3, draws)
+    layout = _coverage_caps(sc, draws, 3)
+    lo, hi = cap.support
+    drawn_own = float(caps[draws // 2, 0])
+    for x in (0.0, lo, drawn_own, cap.mu, hi, cap.cbar):
+        ref = coverage_reference(caps, x)
+        for got in (partial_coverage_samples(sc, x, draws, 3, caps=caps),
+                    partial_coverage_samples(sc, x, draws, 3, caps=layout),
+                    partial_coverage_samples(sc, x, draws, 3)):
+            assert got.shape == (draws,)
+            assert np.max(np.abs(np.sort(got) - np.sort(ref))) <= 1e-12
+            assert abs(got.mean() - ref.mean()) <= 1e-14
+    # the offers above include draws where every rival is short: no rival
+    # surplus, so no coverage, whatever C_i is
+    for x in (cap.mu, hi):
+        all_short = np.all(caps[:, 1:] <= x, axis=1)
+        assert all_short.sum() > 0
+        assert np.all(coverage_reference(caps, x)[all_short] == 0.0)
+
+
+def test_coverage_memory_bounded_in_n_and_draws():
+    n, draws = 8, 200_000
+    sc = dg.GameScenario(n, 30.0, dg.iid_uniform(10.0, 3.3), dg.linear_utility(2.5), 4.0, 4.0)
+    tracemalloc.start()
+    try:
+        layout = _coverage_caps(sc, draws, 1)
+        dg.follower_foc_gap(sc, 4.0, sc.capacity.cbar, draws=draws, seed=1, _caps=layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * draws * n * 8
 
 
 def test_coverage_term_nondecreasing_low_region(iid2_scenario):

@@ -114,6 +114,59 @@ def test_cli_rejects_zero_real_time_price(tmp_path, capsys):
     assert "lambda_rt" in capsys.readouterr().err
 
 
+COMMANDS = [
+    ["validate"], ["equilibrium"], ["supply-curve", "--mode", "agg"], ["poag"],
+    ["dispatch", "--mode", "direct"], ["sweep"], ["figures"],
+]
+
+
+def assert_one_line_rejection(code, capsys, needle):
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert needle in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["iid.json", "base.json"])
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_cli_rejects_out_of_range_seed(name, seed, tmp_path, capsys):
+    path = str(SCENARIOS / name)
+    for command in (["equilibrium", path], ["validate", path], ["figures", "fig3"]):
+        code = cli.main([*command, "--seed", seed, "--out", str(tmp_path / "out")])
+        assert_one_line_rejection(code, capsys, "seed must be >= 0 and < 2**128")
+
+
+@pytest.mark.parametrize("name", ["iid.json", "base.json"])
+def test_cli_rejects_negative_seed_from_environment(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+    code = cli.main(["equilibrium", str(SCENARIOS / name)])
+    assert_one_line_rejection(code, capsys, "seed must be >= 0")
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
+    code = cli.main(["figures", "fig3", "--out", str(tmp_path)])
+    assert_one_line_rejection(code, capsys, "is not an integer")
+
+
+def test_scenario_seed_out_of_range_rejected(tmp_path, capsys):
+    for seed in (-1, 2**128):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            parse_scenario(deep(BASE, (("solver", "seed"), seed)))
+    path = write_scenario(tmp_path, deep(BASE, (("solver", "seed"), -1)))
+    code = cli.main(["equilibrium", path])
+    assert_one_line_rejection(code, capsys, "seed must be >= 0")
+    assert parse_scenario(deep(BASE, (("solver", "seed"), 2**128 - 1))).solver.seed == 2**128 - 1
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("draws", ["-5", "0"])
+def test_cli_rejects_draws_below_one(command, draws, tmp_path, capsys):
+    if command == ["figures"]:
+        argv = ["figures", "fig3", "--out", str(tmp_path)]
+    else:
+        argv = [command[0], str(SCENARIOS / "base.json"), *command[1:]]
+    code = cli.main([*argv, "--draws", draws])
+    assert_one_line_rejection(code, capsys, f"draws must be >= 1, got {draws}")
+
+
 def test_cli_validate_closed_form_band(tmp_path, capsys):
     off_band = deep(BASE, (("scenario", "capacity", "sigma"), 3.0))
     path = write_scenario(tmp_path, off_band)
