@@ -131,6 +131,19 @@ def _resolve_draws(args, sf: ScenarioFile | None = None) -> int:
     return replace(solver, draws=args.draws).draws
 
 
+def _load(args) -> tuple[ScenarioFile, int, int]:
+    """The command's scenario file, with its seed and draw count after overrides."""
+    sf = load_scenario(args.file)
+    return sf, _resolve_seed(args, sf), _resolve_draws(args, sf)
+
+
+def _solve(sf: ScenarioFile, draws: int, seed: int):
+    """Finite-N equilibrium under the scenario file's solver settings."""
+    s = sf.solver
+    return stackelberg_solve(sf.scenario, tol_rho=s.tol_rho, tol_x=s.tol_x,
+                             grid_points=s.rho_grid_points, draws=draws, seed=seed)
+
+
 def _penalty_axiom_issues(seed: int, instances: int = 10_000) -> list[str]:
     """Randomized check of the five sharing axioms; returns violation notes.
 
@@ -183,9 +196,8 @@ def _axiom_violations(rng, k: int) -> set[str]:
 
 
 def cmd_validate(args) -> int:
-    sf = load_scenario(args.file)
-    seed = _resolve_seed(args, sf)
-    _resolve_draws(args, sf)  # nothing here samples, but a bad override is still an error
+    # nothing here samples, but a bad draws override is still an error
+    sf, seed, _ = _load(args)
     issues = _penalty_axiom_issues(seed)
     if args.closed_form:
         closed_form_params(sf.scenario)  # raises AdmissibilityError off the band
@@ -198,25 +210,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    sf = load_scenario(args.file)
-    seed = _resolve_seed(args, sf)
-    draws = _resolve_draws(args, sf)
+    sf, seed, draws = _load(args)
     if args.mean_field:
         res, sol = meanfield_stackelberg(
             sf.scenario, tol_x=sf.solver.tol_x, grid_points=sf.solver.rho_grid_points
         )
         columns = ["rho_star", "x_star", "aggregate_x", "leader_profit", "beta", "residual"]
         rows = [[res.rho_star, res.x_star, res.aggregate_x, res.leader_profit,
-                 sol.beta, max(sol.residuals)]]
+                 sol.beta, sol.residual]]
     else:
-        res = stackelberg_solve(
-            sf.scenario,
-            tol_rho=sf.solver.tol_rho,
-            tol_x=sf.solver.tol_x,
-            grid_points=sf.solver.rho_grid_points,
-            draws=draws,
-            seed=seed,
-        )
+        res = _solve(sf, draws, seed)
         d = res.diagnostics
         columns = [
             "rho_star", "x_star", "aggregate_x", "leader_profit",
@@ -233,9 +236,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_supply_curve(args) -> int:
-    sf = load_scenario(args.file)
-    seed = _resolve_seed(args, sf)
-    draws = _resolve_draws(args, sf)
+    sf, seed, draws = _load(args)
     if args.mode == "agg":
         curve = build_supply_curve_aggregated(sf.scenario, draws=draws, seed=seed)
     else:
@@ -246,9 +247,7 @@ def cmd_supply_curve(args) -> int:
 
 
 def cmd_dispatch(args) -> int:
-    sf = load_scenario(args.file)
-    seed = _resolve_seed(args, sf)
-    draws = _resolve_draws(args, sf)
+    sf, seed, draws = _load(args)
     demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
     mode = {"agg": MODE_AGGREGATED, "direct": MODE_DIRECT, "noder": MODE_NODER}[args.mode]
     curve = None
@@ -266,9 +265,7 @@ def cmd_dispatch(args) -> int:
 
 
 def cmd_poag(args) -> int:
-    sf = load_scenario(args.file)
-    seed = _resolve_seed(args, sf)
-    draws = _resolve_draws(args, sf)
+    sf, seed, draws = _load(args)
     report = price_of_aggregation(
         sf.scenario, sf.generators, sf.demand_per_prosumer,
         curve_source=args.curve_source, draws=draws, seed=seed,
@@ -298,14 +295,7 @@ _SWEEP_COLUMNS = [
 def _sweep_point(sf: ScenarioFile, parameter: str, value: float, draws: int, seed: int):
     try:
         point = apply_sweep_value(sf, parameter, value)
-        res = stackelberg_solve(
-            point.scenario,
-            tol_rho=point.solver.tol_rho,
-            tol_x=point.solver.tol_x,
-            grid_points=point.solver.rho_grid_points,
-            draws=draws,
-            seed=seed,
-        )
+        res = _solve(point, draws, seed)
         rep = price_of_aggregation(
             point.scenario, point.generators, point.demand_per_prosumer,
             draws=draws, seed=seed,
@@ -323,11 +313,9 @@ def _sweep_point(sf: ScenarioFile, parameter: str, value: float, draws: int, see
 
 
 def cmd_sweep(args) -> int:
-    sf = load_scenario(args.file)
+    sf, seed, draws = _load(args)
     if sf.sweep is None:
         raise ValidationError(f"{args.file} has no sweep block")
-    seed = _resolve_seed(args, sf)
-    draws = _resolve_draws(args, sf)
     values = np.linspace(sf.sweep.start, sf.sweep.stop, sf.sweep.steps)
     rows = [_sweep_point(sf, sf.sweep.parameter, float(v), draws, seed) for v in values]
     meta = _meta(sf, seed, draws)

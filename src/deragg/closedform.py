@@ -22,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SQRT3
+from .agents import LINEAR
+from .capacity import DEPENDENT_UNIFORM, SQRT3
 from .errors import AdmissibilityError
 
 #: slack used when testing band membership
 _BAND_TOL = 1e-12
+
+
+def closed_form_applies(scenario) -> bool:
+    """Whether a game scenario is one the closed forms describe: fully
+    dependent uniform capacity with linear utility."""
+    return scenario.capacity.kind == DEPENDENT_UNIFORM and scenario.utility.kind == LINEAR
 
 
 def sigma_band(gamma: float, mu: float, lambda_da: float, lambda_rt: float) -> tuple[float, float]:

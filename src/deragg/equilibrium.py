@@ -19,8 +19,9 @@ on a grid over [0, cbar] refined by golden section, one FOC evaluation per
 candidate, and posts rho* = rho(x*).  The large-N independent limit has the
 explicit inverse rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
-The forward responses x*(rho) (:func:`symmetric_follower_response`,
-:func:`meanfield_solve`) are bisections on these monotone conditions.
+Each inverse response is one memoised table together with its price
+bounds; the forward responses x*(rho) (:func:`symmetric_follower_response`,
+:func:`meanfield_solve`) are bisections of rho(x) = rho on that table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -204,55 +206,55 @@ def _coverage_caps(scenario, draws, seed):
     return None
 
 
-def _response(scenario, rho, tol_x, draws, seed, caps=None):
-    """Symmetric best response at one price; bisection on the FOC gap."""
-    rho_min, rho_max = offer_price_bounds(scenario, draws=draws, seed=seed)
-    cbar = scenario.capacity.cbar
-    if rho <= rho_min:
-        return 0.0, 0.0, 0
-    if rho >= rho_max:
-        return cbar, 0.0, 0
-    if scenario.capacity.kind == DETERMINISTIC:
-        # interior price and certain supply: selling dominates consuming
-        return cbar, 0.0, 0
-
-    def gap(x):
-        return follower_foc_gap(scenario, rho, x, draws=draws, seed=seed, _caps=caps)
-
-    return _bisect_decreasing(gap, 0.0, cbar, tol_x, MAX_BISECT_ITER)
-
-
 def symmetric_follower_response(spec: FollowerFixedPointSpec) -> float:
     """Unique symmetric Nash offer x*(rho), with exact boundary handling."""
-    caps = _coverage_caps(spec.scenario, spec.draws, spec.seed)
-    x, _, _ = _response(spec.scenario, spec.rho, spec.tol_x, spec.draws, spec.seed, caps=caps)
-    return x
+    return _InverseResponse(spec.scenario, spec.draws, spec.seed).forward(spec.rho, spec.tol_x)
 
 
 class _InverseResponse:
-    """Memoised finite-N inverse response rho(x).
+    """Memoised finite-N inverse response rho(x) and its price bounds.
 
     The FOC gap is affine in rho with slope 1/lambda_rt, so one gap
-    evaluation at the reference price ``rho_ref`` gives the price at which
-    ``x`` is the symmetric best response.  rho(x) does not depend on
-    lambda_da, so one table of it gives the leader's offer at every
-    wholesale price (the aggregated supply curve).
+    evaluation at rho_min gives the price at which ``x`` is the symmetric
+    best response.  rho(x) does not depend on lambda_da, so one table of
+    it gives the leader's offer at every wholesale price (the aggregated
+    supply curve), and :meth:`forward` inverts it at any price.
     """
 
-    def __init__(self, scenario: GameScenario, rho_ref: float, draws: int, seed: int):
-        self.scenario, self.rho_ref, self.draws, self.seed = scenario, rho_ref, draws, seed
-        self.caps = _coverage_caps(scenario, draws, seed)
+    def __init__(self, scenario: GameScenario, draws: int, seed: int):
+        self.scenario, self.draws, self.seed = scenario, draws, seed
+        self.bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
         self._memo: dict[float, float] = {}
+
+    @cached_property
+    def caps(self) -> _CoverageDraws | None:
+        return _coverage_caps(self.scenario, self.draws, self.seed)
 
     def gap(self, rho: float, x: float) -> float:
         return follower_foc_gap(
             self.scenario, rho, x, draws=self.draws, seed=self.seed, _caps=self.caps
         )
 
+    def _rho(self, x: float) -> float:
+        rho_min = self.bounds[0]
+        return rho_min - self.scenario.lambda_rt * self.gap(rho_min, x)
+
     def __call__(self, x: float) -> float:
         if x not in self._memo:
-            self._memo[x] = self.rho_ref - self.scenario.lambda_rt * self.gap(self.rho_ref, x)
+            self._memo[x] = self._rho(x)
         return self._memo[x]
+
+    def forward(self, rho: float, tol: float) -> float:
+        """The offer x at which rho(x) = rho: 0 at or below rho_min, cbar at or above rho_max."""
+        rho_min, rho_max = self.bounds
+        cbar = self.scenario.capacity.cbar
+        if rho <= rho_min:
+            return 0.0
+        if rho >= rho_max or self.scenario.capacity.kind == DETERMINISTIC:
+            # with certain supply any price above the floor makes selling all
+            # dominate consuming
+            return cbar
+        return _bisect_decreasing(lambda x: rho - self(x), 0.0, cbar, tol, MAX_BISECT_ITER)[0]
 
 
 def stackelberg_solve(
@@ -271,28 +273,21 @@ def stackelberg_solve(
     capacity the optimum is explicit: the full capacity at ``tol_rho``
     above the indifference price.
     """
-    if grid_points < 4:
-        raise ValidationError("grid_points must be at least 4")
     _warn_if_off_band(scenario)
-    bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
-    inverse = _InverseResponse(scenario, bounds[0], draws, seed)
-    lo = max(0.0, bounds[0])
-    hi = min(scenario.lambda_da, bounds[1])
+    inverse = _InverseResponse(scenario, draws, seed)
+    rho_min, rho_max = inverse.bounds
     n = scenario.n_prosumers
     cbar = scenario.capacity.cbar
-    diag = SolverDiagnostics(0, 0, 0.0, True, False, seed, draws)
-    if hi <= lo:
-        # nothing to trade: every admissible price draws a zero offer
-        rho_star, x_star = min(scenario.lambda_da, lo), 0.0
-        diag = replace(diag, notes=("degenerate price interval; followers never offer",))
-    elif scenario.capacity.kind == DETERMINISTIC:
+    if scenario.capacity.kind == DETERMINISTIC and scenario.lambda_da > rho_min:
         # certain supply: any price above indifference buys all of it
-        rho_star, x_star = min(lo + tol_rho, 0.5 * (lo + hi)), cbar
-        diag = replace(diag, notes=("deterministic capacity; full offer just above indifference",))
-    else:
-        x_star, rho_star, diag = _offer_search(
-            inverse, scenario.lambda_da, n, cbar, grid_points, tol_x, seed, draws
+        rho_star = min(rho_min + tol_rho, 0.5 * (rho_min + min(scenario.lambda_da, rho_max)))
+        x_star = cbar
+        diag = SolverDiagnostics(
+            0, 0, 0.0, True, False, seed, draws,
+            ("deterministic capacity; full offer just above indifference",),
         )
+    else:
+        x_star, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
         if 0.0 < x_star < cbar:
             diag = replace(diag, follower_residual=abs(inverse.gap(rho_star, x_star)))
     profit = (scenario.lambda_da - rho_star) * n * x_star
@@ -301,19 +296,29 @@ def stackelberg_solve(
     )
 
 
-def _offer_search(rho_of, lambda_da, n, cbar, grid_points, tol, seed, draws, extra=()):
-    """Maximise the leader profit (lambda_da - rho(x)) * n * x over x in [0, cbar].
+def _offer_search(inverse, grid_points, tol, extra=()):
+    """Maximise the leader profit (lambda_da - rho(x)) * N * x over x in [0, cbar].
 
-    A uniform offer grid locates the best offer and doubles as a concavity
-    diagnostic: nonpositive second differences of profit certify the
-    sufficient condition under which the maximiser is unique.  Golden
-    section refines around the best grid point; the ``extra`` offers (kinks
-    of rho that the grid would miss) compete with the refined one.
+    With lambda_da at or below rho_min no offer is profitable: the leader
+    posts rho* = lambda_da and buys nothing.  Otherwise a uniform offer
+    grid locates the best offer and doubles as a concavity diagnostic:
+    nonpositive second differences of profit certify the sufficient
+    condition under which the maximiser is unique.  Golden section refines
+    around the best grid point; the ``extra`` offers (kinks of rho that the
+    grid would miss) compete with the refined one.
     Returns (x*, rho(x*), diagnostics).
     """
+    if grid_points < 4:
+        raise ValidationError("grid_points must be at least 4")
+    scenario = inverse.scenario
+    lambda_da, n, cbar = scenario.lambda_da, scenario.n_prosumers, scenario.capacity.cbar
+    if lambda_da <= inverse.bounds[0]:
+        notes = ("degenerate price interval; followers never offer",)
+        diag = SolverDiagnostics(0, 0, 0.0, True, False, inverse.seed, inverse.draws, notes)
+        return 0.0, lambda_da, diag
 
     def profit(x):
-        return (lambda_da - rho_of(x)) * n * x
+        return (lambda_da - inverse(x)) * n * x
 
     grid = np.linspace(0.0, cbar, grid_points)
     profits = np.array([profit(x) for x in grid])
@@ -338,9 +343,10 @@ def _offer_search(rho_of, lambda_da, n, cbar, grid_points, tol, seed, draws, ext
     candidates += [(float(x), profit(x)) for x in extra]
     x_star = max(candidates, key=lambda c: c[1])[0]
     diag = SolverDiagnostics(
-        grid_points, iters, 0.0, concavity_ok, multiple_maxima, seed, draws, tuple(notes)
+        grid_points, iters, 0.0, concavity_ok, multiple_maxima, inverse.seed, inverse.draws,
+        tuple(notes),
     )
-    return x_star, rho_of(x_star), diag
+    return x_star, inverse(x_star), diag
 
 
 @dataclass(frozen=True)
@@ -349,8 +355,7 @@ class MeanFieldSolution:
 
     beta: float
     x_star: float
-    residuals: tuple[float, float]
-    iterations: int = 0
+    residual: float
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -365,50 +370,45 @@ def _meanfield_beta(model, x: float) -> float:
     return min(max((x - model.mean) / den, 0.0), 1.0)
 
 
-def _meanfield_inverse(scenario: GameScenario):
+class _MeanFieldInverse(_InverseResponse):
     """Mean-field inverse response rho(x) = E[u'] + lambda_rt * beta(x) * F(x).
 
     Nondecreasing in x, and flat at E[u'] up to x = E[C] where beta = 0.
     """
-    model = scenario.capacity
-    if model.kind != IID_UNIFORM:
-        raise ValidationError("mean-field solve requires iid capacities")
 
-    def rho_of(x):
-        return expected_marginal_utility(scenario, x) + (
-            scenario.lambda_rt * _meanfield_beta(model, x) * cdf_marginal(model, x)
+    def __init__(self, scenario: GameScenario):
+        if scenario.capacity.kind != IID_UNIFORM:
+            raise ValidationError("mean-field solve requires iid capacities")
+        super().__init__(scenario, DEFAULT_DRAWS, DEFAULT_SEED)
+
+    def _rho(self, x: float) -> float:
+        model = self.scenario.capacity
+        return expected_marginal_utility(self.scenario, x) + (
+            self.scenario.lambda_rt * _meanfield_beta(model, x) * cdf_marginal(model, x)
         )
-
-    return rho_of
 
 
 def meanfield_solve(scenario: GameScenario, rho: float, tol: float = 1e-12) -> MeanFieldSolution:
     """Solve the large-N system  beta*F(x) = (rho - E[u'])/lambda_rt  with
     beta = (x - E[C])+ / E[(x - C)+].
 
-    Bisects the monotone inverse response rho(x) = rho to an offer bracket
-    of width ``tol``; beta follows from x.  At indifference (zero net
-    margin) the maximal offer x* = E[C] is returned, matching the large-N
-    equilibrium path.
+    Bisects the monotone mean-field inverse response rho(x) = rho to an
+    offer bracket of width ``tol``; beta follows from x.  At indifference
+    (rho = rho_min) the maximal offer x* = E[C] is returned, matching the
+    large-N equilibrium path.  Where the offer cap binds, beta = 1 and the
+    cap multiplier carries the gap.
     """
-    inverse = _meanfield_inverse(scenario)
+    inverse = _MeanFieldInverse(scenario)
     model = scenario.capacity
-    cbar = model.cbar
-
-    def margin(x):
-        return (rho - expected_marginal_utility(scenario, x)) / scenario.lambda_rt
-
-    r0 = margin(0.0)
-    if r0 < 0.0:
-        return MeanFieldSolution(0.0, 0.0, (0.0, 0.0), 0)
-    if r0 == 0.0:
-        return MeanFieldSolution(0.0, min(model.mean, cbar), (0.0, 0.0), 0)
-    if margin(cbar) >= 1.0:
-        # offer cap binds; the gap is carried by the cap multiplier
-        return MeanFieldSolution(1.0, cbar, (0.0, 0.0), 0)
-    x, _, iters = _bisect_decreasing(lambda v: rho - inverse(v), 0.0, cbar, tol, MAX_BISECT_ITER)
+    rho_min, rho_max = inverse.bounds
+    if rho == rho_min:
+        return MeanFieldSolution(0.0, min(model.mean, model.cbar), 0.0)
+    x = inverse.forward(rho, tol)
+    if not rho_min < rho < rho_max:
+        # a corner: no offer, or the cap binds and its multiplier carries the gap
+        return MeanFieldSolution(0.0 if rho < rho_min else 1.0, x, 0.0)
     residual = abs(rho - inverse(x)) / scenario.lambda_rt
-    return MeanFieldSolution(_meanfield_beta(model, x), x, (residual, 0.0), iters)
+    return MeanFieldSolution(_meanfield_beta(model, x), x, residual)
 
 
 def meanfield_stackelberg(
@@ -422,22 +422,15 @@ def meanfield_stackelberg(
     x = E[C] (the end of the flat piece of rho) always a candidate, so
     the indifference optimum is found exactly.
     """
-    inverse = _meanfield_inverse(scenario)
-    lo = max(0.0, offer_price_bounds(scenario)[0])
-    n = scenario.n_prosumers
     model = scenario.capacity
-    if scenario.lambda_da <= lo:
-        rho_star = scenario.lambda_da
-        diag = SolverDiagnostics(0, 0, 0.0, True, False, 0, 0, ("degenerate price interval",))
-    else:
-        _, rho_star, diag = _offer_search(
-            inverse, scenario.lambda_da, n, model.cbar, grid_points, tol_x, 0, 0,
-            extra=(min(model.mean, model.cbar),),
-        )
+    _, rho_star, diag = _offer_search(
+        _MeanFieldInverse(scenario), grid_points, tol_x, extra=(min(model.mean, model.cbar),)
+    )
     sol = meanfield_solve(scenario, rho_star)
+    n = scenario.n_prosumers
     result = EquilibriumResult(
         rho_star, sol.x_star, n * sol.x_star, (scenario.lambda_da - rho_star) * n * sol.x_star,
-        n, model.cbar, scenario.lambda_da, replace(diag, follower_residual=max(sol.residuals)),
+        n, model.cbar, scenario.lambda_da, replace(diag, follower_residual=sol.residual),
     )
     return result, sol
 
@@ -472,12 +465,10 @@ def shortfall_ratio_convergence(
 def _warn_if_off_band(scenario: GameScenario) -> None:
     # the numeric search stays defined off the closed-form band, but the
     # equilibrium price path pins to its boundary there; flag it
-    from .closedform import sigma_band
+    from .closedform import closed_form_applies, sigma_band
 
     cap = scenario.capacity
-    if cap.kind != "dependent_uniform" or scenario.utility.kind != "linear":
-        return
-    if scenario.lambda_da <= scenario.utility.gamma:
+    if not closed_form_applies(scenario) or scenario.lambda_da <= scenario.utility.gamma:
         return
     lo, hi = sigma_band(scenario.utility.gamma, cap.mu, scenario.lambda_da, scenario.lambda_rt)
     if not lo - 1e-12 <= cap.sigma <= hi + 1e-12:

@@ -24,10 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .agents import LINEAR, GameScenario
+from .agents import GameScenario
 from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC
-from .closedform import UniformLinearParams, inverse_supply_aggregated, inverse_supply_direct
-from .equilibrium import _InverseResponse, offer_price_bounds
+from .closedform import (
+    UniformLinearParams,
+    closed_form_applies,
+    inverse_supply_aggregated,
+    inverse_supply_direct,
+)
+from .equilibrium import _InverseResponse
 from .errors import MarketInfeasibleError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
@@ -366,12 +371,12 @@ def build_supply_curve_aggregated(
     the wholesale price rho_max, at which the followers offer their whole
     capacity.
     """
-    rho_min, rho_max = offer_price_bounds(scenario, draws=draws, seed=seed)
+    rho = _InverseResponse(scenario, draws, seed)
+    rho_min, rho_max = rho.bounds
     model = scenario.capacity
     n = scenario.n_prosumers
     if model.kind == DETERMINISTIC:
         return SupplyCurve(((0.0, rho_min), (n * model.cbar, rho_min)))
-    rho = _InverseResponse(scenario, rho_min, draws, seed)
     xs = _offers(model, n_points)
     rs = [x * rho(x) for x in xs]
     hull = []  # monotone chain over offer indices
@@ -423,12 +428,12 @@ def build_supply_curve_direct(
     equal prices are dropped; the curve takes the maximal offer of the run
     at indifference.
     """
-    rho_min, _ = offer_price_bounds(scenario, draws=draws, seed=seed)
+    rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), draws, seed)
+    rho_min = rho_1.bounds[0]
     model = scenario.capacity
     n = scenario.n_prosumers
     if model.kind == DETERMINISTIC:
         return SupplyCurve(((0.0, rho_min), (n * model.cbar, rho_min)))
-    rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), rho_min, draws, seed)
     points = []
     for y in _offers(model, n_points):
         p = rho_1(y)
@@ -461,7 +466,7 @@ class PoAgReport:
 
 def closed_form_params(scenario: GameScenario) -> UniformLinearParams:
     """Closed-form parameter tuple for a dependent-uniform linear scenario."""
-    if scenario.capacity.kind != DEPENDENT_UNIFORM or scenario.utility.kind != LINEAR:
+    if not closed_form_applies(scenario):
         raise ValidationError(
             "closed forms need fully dependent uniform capacity and linear utility"
         )
@@ -489,10 +494,7 @@ def der_curves(
     which picks the closed form wherever it applies.
     """
     if source == "auto":
-        use_closed = (
-            scenario.capacity.kind == DEPENDENT_UNIFORM and scenario.utility.kind == LINEAR
-        )
-        source = "closedform" if use_closed else "numeric"
+        source = "closedform" if closed_form_applies(scenario) else "numeric"
     if source == "closedform":
         params = closed_form_params(scenario)
         return aggregated_affine_curve(params), direct_affine_curve(params), source

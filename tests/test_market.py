@@ -77,7 +77,8 @@ def test_tabulated_curve_interpolation_and_integral():
     assert curve.quantity_at(2.0) == 3.0
     # integral oracle: dense trapezoid over the interpolated curve
     qs = np.linspace(0.0, 3.5, 20_001)
-    oracle = np.trapezoid([curve.price_at(float(q)) for q in qs], qs)
+    ps = np.array([curve.price_at(float(q)) for q in qs])
+    oracle = np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(qs))
     assert curve.cost_integral(3.5) == pytest.approx(float(oracle), rel=1e-6)
     with pytest.raises(dg.ValidationError):
         dg.SupplyCurve(((0.0, 2.0), (1.0, 1.0)))
@@ -295,7 +296,7 @@ def test_aggregated_curve_matches_per_price_solves(kind, n):
     sc = make_scenario(kind=kind, n=n)
     curve = dg.build_supply_curve_aggregated(sc, draws=10_000, seed=3)
     rho_min, rho_max = dg.offer_price_bounds(sc, draws=10_000, seed=3)
-    rho = _InverseResponse(sc, rho_min, 10_000, 3)
+    rho = _InverseResponse(sc, 10_000, 3)
     step = n * sc.capacity.cbar / 256
     for price in np.linspace(rho_min, rho_max, 22)[1:-1]:
         res = dg.stackelberg_solve(
