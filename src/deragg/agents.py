@@ -103,8 +103,10 @@ class GameScenario:
     lambda_rt: float
 
     def __post_init__(self):
-        if int(self.n_prosumers) != self.n_prosumers or self.n_prosumers < 1:
+        n = self.n_prosumers
+        if not (math.isfinite(n) and int(n) == n >= 1):
             raise ValidationError(f"n_prosumers must be a positive integer, got {self.n_prosumers}")
+        object.__setattr__(self, "n_prosumers", int(n))
         for name in ("d0", "lambda_da", "lambda_rt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")

@@ -106,7 +106,6 @@ def _meta(sf: ScenarioFile, seed: int, draws: int) -> dict:
         "seed": seed,
         "draws": draws,
         "tol_x": sf.solver.tol_x,
-        "tol_rho": sf.solver.tol_rho,
         "build": f"deragg-{__version__}",
     }
 
@@ -140,8 +139,8 @@ def _load(args) -> tuple[ScenarioFile, int, int]:
 def _solve(sf: ScenarioFile, draws: int, seed: int):
     """Finite-N equilibrium under the scenario file's solver settings."""
     s = sf.solver
-    return stackelberg_solve(sf.scenario, tol_rho=s.tol_rho, tol_x=s.tol_x,
-                             grid_points=s.rho_grid_points, draws=draws, seed=seed)
+    return stackelberg_solve(sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points,
+                             draws=draws, seed=seed)
 
 
 def _penalty_axiom_issues(seed: int, instances: int = 10_000) -> list[str]:

@@ -19,9 +19,11 @@ on a grid over [0, cbar] refined by golden section, one FOC evaluation per
 candidate, and posts rho* = rho(x*).  The large-N independent limit has the
 explicit inverse rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
-Each inverse response is one memoised table together with its price
-bounds; the forward responses x*(rho) (:func:`symmetric_follower_response`,
-:func:`meanfield_solve`) are bisections of rho(x) = rho on that table.
+Certain capacity is the same game without shortfall at x <= cbar, so
+rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one memoised
+table together with its price bounds; the forward responses x*(rho)
+(:func:`symmetric_follower_response`, :func:`meanfield_solve`) are
+bisections of rho(x) = rho on that table.
 """
 
 from __future__ import annotations
@@ -46,11 +48,10 @@ from .capacity import (
     expected_shortfall,
     sample,
 )
-from .errors import SolverError, UnsupportedOperationError, ValidationError
+from .errors import SolverError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 DEFAULT_TOL_X = 1e-8
-DEFAULT_TOL_RHO = 1e-6
 DEFAULT_GRID_POINTS = 512
 MAX_BISECT_ITER = 200
 
@@ -66,10 +67,6 @@ class FollowerFixedPointSpec:
     tol_x: float = DEFAULT_TOL_X
     draws: int = DEFAULT_DRAWS
     seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if not self.tol_x > 0.0:
-            raise ValidationError("tol_x must be positive")
 
 
 def offer_price_bounds(
@@ -185,12 +182,15 @@ def follower_foc_gap(
 
     Positive means the prosumer wants to offer more; strictly decreasing in
     ``x`` on the capacity support for prices strictly inside the bounds.
+    Certain capacity runs short only above cbar, so its gap is
+    ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.
     """
     model = scenario.capacity
-    if model.kind == DETERMINISTIC:
-        raise UnsupportedOperationError("first-order gap is undefined for deterministic capacity")
     lhs = (rho - expected_marginal_utility(scenario, x, draws=draws, seed=seed)) / scenario.lambda_rt
-    diag_cdf = cdf_marginal(model, x)
+    if model.kind == DETERMINISTIC:
+        diag_cdf = float(x > model.cbar)
+    else:
+        diag_cdf = cdf_marginal(model, x)
     h = 0.0
     if model.kind == IID_UNIFORM:
         diag_cdf = diag_cdf**scenario.n_prosumers
@@ -246,20 +246,18 @@ class _InverseResponse:
 
     def forward(self, rho: float, tol: float) -> float:
         """The offer x at which rho(x) = rho: 0 at or below rho_min, cbar at or above rho_max."""
+        _check_tol(tol)
         rho_min, rho_max = self.bounds
         cbar = self.scenario.capacity.cbar
         if rho <= rho_min:
             return 0.0
-        if rho >= rho_max or self.scenario.capacity.kind == DETERMINISTIC:
-            # with certain supply any price above the floor makes selling all
-            # dominate consuming
+        if rho >= rho_max:
             return cbar
         return _bisect_decreasing(lambda x: rho - self(x), 0.0, cbar, tol, MAX_BISECT_ITER)[0]
 
 
 def stackelberg_solve(
     scenario: GameScenario,
-    tol_rho: float = DEFAULT_TOL_RHO,
     tol_x: float = DEFAULT_TOL_X,
     grid_points: int = DEFAULT_GRID_POINTS,
     draws: int = DEFAULT_DRAWS,
@@ -269,27 +267,18 @@ def stackelberg_solve(
 
     The leader picks the pooled offer: ``grid_points`` offers on [0, cbar]
     and a golden-section refinement to ``tol_x`` each cost one FOC
-    evaluation, and the posted price is rho* = rho(x*).  With deterministic
-    capacity the optimum is explicit: the full capacity at ``tol_rho``
-    above the indifference price.
+    evaluation, and the posted price is rho* = rho(x*).  Where rho(x) is
+    flat the followers are indifferent along the run and the leader buys
+    its largest offer: with certain capacity and linear utility, the whole
+    capacity at rho* = rho_min.
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
-    rho_min, rho_max = inverse.bounds
     n = scenario.n_prosumers
     cbar = scenario.capacity.cbar
-    if scenario.capacity.kind == DETERMINISTIC and scenario.lambda_da > rho_min:
-        # certain supply: any price above indifference buys all of it
-        rho_star = min(rho_min + tol_rho, 0.5 * (rho_min + min(scenario.lambda_da, rho_max)))
-        x_star = cbar
-        diag = SolverDiagnostics(
-            0, 0, 0.0, True, False, seed, draws,
-            ("deterministic capacity; full offer just above indifference",),
-        )
-    else:
-        x_star, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
-        if 0.0 < x_star < cbar:
-            diag = replace(diag, follower_residual=abs(inverse.gap(rho_star, x_star)))
+    x_star, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
+    if 0.0 < x_star < cbar:
+        diag = replace(diag, follower_residual=abs(inverse.gap(rho_star, x_star)))
     profit = (scenario.lambda_da - rho_star) * n * x_star
     return EquilibriumResult(
         rho_star, x_star, n * x_star, profit, n, cbar, scenario.lambda_da, diag
@@ -310,6 +299,7 @@ def _offer_search(inverse, grid_points, tol, extra=()):
     """
     if grid_points < 4:
         raise ValidationError("grid_points must be at least 4")
+    _check_tol(tol)
     scenario = inverse.scenario
     lambda_da, n, cbar = scenario.lambda_da, scenario.n_prosumers, scenario.capacity.cbar
     if lambda_da <= inverse.bounds[0]:
@@ -401,9 +391,9 @@ def meanfield_solve(scenario: GameScenario, rho: float, tol: float = 1e-12) -> M
     inverse = _MeanFieldInverse(scenario)
     model = scenario.capacity
     rho_min, rho_max = inverse.bounds
+    x = inverse.forward(rho, tol)
     if rho == rho_min:
         return MeanFieldSolution(0.0, min(model.mean, model.cbar), 0.0)
-    x = inverse.forward(rho, tol)
     if not rho_min < rho < rho_max:
         # a corner: no offer, or the cap binds and its multiplier carries the gap
         return MeanFieldSolution(0.0 if rho < rho_min else 1.0, x, 0.0)
@@ -477,6 +467,11 @@ def _warn_if_off_band(scenario: GameScenario) -> None:
             "numeric equilibrium remains defined but has no closed-form counterpart",
             stacklevel=3,
         )
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"solver tolerance must be positive and finite, got {tol}")
 
 
 def _bisect_decreasing(fn, lo, hi, tol, max_iter):

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .agents import GameScenario
-from .capacity import DEPENDENT_UNIFORM, DETERMINISTIC
+from .capacity import DEPENDENT_UNIFORM
 from .closedform import (
     UniformLinearParams,
     closed_form_applies,
@@ -373,11 +373,8 @@ def build_supply_curve_aggregated(
     """
     rho = _InverseResponse(scenario, draws, seed)
     rho_min, rho_max = rho.bounds
-    model = scenario.capacity
     n = scenario.n_prosumers
-    if model.kind == DETERMINISTIC:
-        return SupplyCurve(((0.0, rho_min), (n * model.cbar, rho_min)))
-    xs = _offers(model, n_points)
+    xs = _offers(scenario.capacity, n_points)
     rs = [x * rho(x) for x in xs]
     hull = []  # monotone chain over offer indices
     for i in range(len(xs)):
@@ -429,13 +426,9 @@ def build_supply_curve_direct(
     at indifference.
     """
     rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), draws, seed)
-    rho_min = rho_1.bounds[0]
-    model = scenario.capacity
     n = scenario.n_prosumers
-    if model.kind == DETERMINISTIC:
-        return SupplyCurve(((0.0, rho_min), (n * model.cbar, rho_min)))
     points = []
-    for y in _offers(model, n_points):
+    for y in _offers(scenario.capacity, n_points):
         p = rho_1(y)
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
             points[-1] = (n * y, p)  # stretch the flat run to its largest offer

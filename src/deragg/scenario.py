@@ -42,7 +42,6 @@ class SolverSettings:
     draws: int = 100_000
     seed: int = 0
     tol_x: float = 1e-8
-    tol_rho: float = 1e-6
     rho_grid_points: int = 512
 
     def __post_init__(self):
@@ -51,8 +50,8 @@ class SolverSettings:
         if self.rho_grid_points < 4:
             raise ValidationError(f"rho_grid_points must be >= 4, got {self.rho_grid_points}")
         check_seed(self.seed)
-        if self.tol_x <= 0.0 or self.tol_rho <= 0.0:
-            raise ValidationError("tolerances must be positive")
+        if self.tol_x <= 0.0:
+            raise ValidationError(f"tol_x must be positive, got {self.tol_x}")
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,13 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
     if "solver" in top:
         f = _take(
             top["solver"], "solver",
+            # older files still set the retired price tolerance: accepted, ignored
             optional=("draws", "seed", "tol_x", "tol_rho", "rho_grid_points"),
         )
         solver = SolverSettings(
             draws=int(f.get("draws", solver.draws)),
             seed=int(f.get("seed", solver.seed)),
             tol_x=float(f.get("tol_x", solver.tol_x)),
-            tol_rho=float(f.get("tol_rho", solver.tol_rho)),
             rho_grid_points=int(f.get("rho_grid_points", solver.rho_grid_points)),
         )
     sweep = None

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import deragg as dg
 from deragg.equilibrium import _coverage_caps, _InverseResponse, partial_coverage_samples
+from deragg.penalty import MIN_DRAWS
 
 from conftest import coverage_by_quadrature, coverage_n2, coverage_reference, make_scenario
 
@@ -75,10 +77,15 @@ def test_foc_gap_strictly_decreasing_on_support():
         assert all(b < a for a, b in zip(g, g[1:]))
 
 
-def test_foc_gap_rejected_for_deterministic():
-    sc = make_scenario(kind="deterministic", mu=10.0, d0=11.0)
-    with pytest.raises(dg.UnsupportedOperationError):
-        dg.follower_foc_gap(sc, 3.0, 5.0)
+def test_foc_gap_deterministic_has_no_shortfall_term():
+    # certain capacity runs short only above cbar: the gap is the price margin alone
+    sc = _deterministic_tabulated_scenario()
+    for x in np.linspace(0.0, 10.0, 11):
+        margin = 3.0 - float(sc.utility.marginal(21.0 - x))
+        assert dg.follower_foc_gap(sc, 3.0, float(x)) == pytest.approx(margin / 4.0, abs=1e-15)
+    # past cbar the whole excess is short
+    margin = 3.0 - float(sc.utility.marginal(10.5))
+    assert dg.follower_foc_gap(sc, 3.0, 10.5) == pytest.approx(margin / 4.0 - 1.0, abs=1e-15)
 
 
 def test_coverage_term_zero_cases(iid2_scenario):
@@ -209,12 +216,34 @@ def test_stackelberg_profit_dominates_grid(fig3_scenario):
         assert res.leader_profit >= (4.0 - rho) * x - 1e-9
 
 
-def test_stackelberg_deterministic_prices_just_above_indifference():
-    sc = make_scenario(kind="deterministic", mu=10.0, d0=11.0)
-    res = dg.stackelberg_solve(sc, grid_points=128)
+def test_stackelberg_deterministic_buys_everything_at_indifference():
+    # rho(x) = gamma on all of [0, cbar]: the leader takes the largest offer of the flat run
+    for n in (1, 3):
+        sc = make_scenario(kind="deterministic", n=n, mu=10.0, d0=11.0)
+        res = dg.stackelberg_solve(sc, grid_points=128)
+        assert (res.x_star, res.rho_star) == (10.0, 2.5)
+        assert res.leader_profit == (4.0 - 2.5) * n * 10.0
+
+
+def test_stackelberg_deterministic_tabulated_matches_hand_optimum():
+    # rho(x) = u'(21 - x) rises from 2.26 to 2.85 with a kink at x = 9, and the
+    # profit (4 - rho(x)) * x rises on all of [0, 10]: x* = cbar, rho* = u'(11)
+    res = dg.stackelberg_solve(_deterministic_tabulated_scenario(), grid_points=64)
     assert res.x_star == 10.0
-    assert 2.5 < res.rho_star < 2.5 + 2.0 * (4.0 - 2.5) / 127
-    assert res.leader_profit == pytest.approx((4.0 - res.rho_star) * 10.0)
+    assert res.rho_star == pytest.approx(2.85, abs=1e-12)
+    assert res.leader_profit == pytest.approx(11.5, abs=1e-11)
+
+
+def test_deterministic_tabulated_follower_matches_payoff_argmax():
+    # u'(21 - x) = rho gives x = 9 - (2.8 - rho)/0.06 below the kink at x = 9
+    # and x = 21 - (3.4 - rho)/0.05 above it; the 0.1 offer grid holds each value
+    sc = _deterministic_tabulated_scenario()
+    xs = np.linspace(0.0, 10.0, 101)
+    for rho, hand in ((2.0, 0.0), (2.5, 4.0), (2.8, 9.0), (2.825, 9.5), (3.0, 10.0)):
+        got = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, rho))
+        assert got == pytest.approx(hand, abs=1e-8)
+        payoffs = [dg.prosumer_payoff(sc, rho, float(x), float(x), draws=MIN_DRAWS) for x in xs]
+        assert got == pytest.approx(xs[int(np.argmax(payoffs))], abs=1e-8)
 
 
 def test_off_band_warning_points_at_the_caller():
@@ -309,10 +338,16 @@ def test_ratio_diagnostic_requires_iid():
         dg.shortfall_ratio_convergence(make_scenario(), 10.0, [2, 4])
 
 
+_TABLE = [(0.0, 3.4), (12.0, 2.8), (22.0, 2.2), (34.0, 1.9)]
+
+
 def _tabulated_scenario():
     cap = dg.dependent_uniform(10.0, 3.3)
-    table = [(0.0, 3.4), (12.0, 2.8), (22.0, 2.2), (34.0, 1.9)]
-    return dg.GameScenario(1, 16.5, cap, dg.tabulated_utility(table), 4.0, 4.0)
+    return dg.GameScenario(1, 16.5, cap, dg.tabulated_utility(_TABLE), 4.0, 4.0)
+
+
+def _deterministic_tabulated_scenario():
+    return dg.GameScenario(1, 11.0, dg.deterministic(10.0), dg.tabulated_utility(_TABLE), 4.0, 4.0)
 
 
 @pytest.mark.parametrize("case", ["dependent-linear", "iid-n4", "tabulated"])
@@ -339,14 +374,22 @@ def test_leader_solution_lies_on_forward_response(case):
         "the Monte-Carlo coverage term makes rho(x) jump by up to -2e-4 where single "
         "draws enter its event, so rho(x) = rho has other roots up to 2.4e-3 away"))),
     "tabulated",
+    "deterministic-tabulated",
 ])
 def test_forward_response_inverts_inverse_response(case):
     # the forward bisection at rho(x) (same draws, same seed) must hand
     # back x across the support, not only at the leader's x*
-    sc = make_scenario(kind="iid", n=4) if case == "iid-n4" else _tabulated_scenario()
+    sc = {
+        "iid-n4": lambda: make_scenario(kind="iid", n=4),
+        "tabulated": _tabulated_scenario,
+        "deterministic-tabulated": _deterministic_tabulated_scenario,
+    }[case]()
     draws, seed, tol_x = 20_000, 7, 1e-8
     rho = _InverseResponse(sc, draws, seed)
     lo, hi = sc.capacity.support
+    if lo == hi:
+        # certain capacity: rho(x) = u'(d0 + cbar - x) rises on all of [0, cbar]
+        lo = 0.0
     for x in np.linspace(lo, hi, 22)[1:-1]:
         spec = dg.FollowerFixedPointSpec(sc, rho(float(x)), tol_x=tol_x, draws=draws, seed=seed)
         assert dg.symmetric_follower_response(spec) == pytest.approx(x, abs=tol_x)
@@ -374,3 +417,26 @@ def test_meanfield_solve_inverts_explicit_inverse_response():
         beta = min((x - 10.0) / dg.expected_shortfall(model, x), 1.0)
         rho = 2.5 + 4.0 * beta * dg.cdf_marginal(model, x)
         assert dg.meanfield_solve(sc, rho).x_star == pytest.approx(x, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda sc, tol: dg.stackelberg_solve(sc, tol_x=tol, grid_points=8, draws=2000),
+    lambda sc, tol: dg.meanfield_stackelberg(sc, tol_x=tol, grid_points=8),
+    lambda sc, tol: dg.symmetric_follower_response(
+        dg.FollowerFixedPointSpec(sc, 3.0, tol_x=tol, draws=2000)),
+    lambda sc, tol: dg.meanfield_solve(sc, 3.0, tol=tol),
+], ids=["stackelberg_solve", "meanfield_stackelberg", "follower_response", "meanfield_solve"])
+def test_solvers_reject_non_finite_or_nonpositive_tolerance(solve, tol):
+    with pytest.raises(dg.ValidationError, match="tolerance must be positive and finite"):
+        solve(make_scenario(kind="iid", n=4), tol)
+
+
+def test_integral_float_prosumer_count_is_stored_as_int():
+    sc = dg.GameScenario(2.0, 20.0, dg.iid_uniform(10.0, 3.3), dg.linear_utility(2.5), 4.0, 4.0)
+    assert type(sc.n_prosumers) is int
+    res = dg.stackelberg_solve(sc, grid_points=16, draws=2000, seed=1)
+    assert res.aggregate_x == 2 * res.x_star
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(dg.ValidationError, match="n_prosumers"):
+            dg.GameScenario(bad, 20.0, dg.iid_uniform(10.0, 3.3), dg.linear_utility(2.5), 4.0, 4.0)
