@@ -61,6 +61,7 @@ FIG_SIGMA = 3.3
 FIG_LAMBDA_DA = 4.0
 FIG_LAMBDA_RT = 4.0
 FIG_KAPPA = 3.25
+FIG_GENERATOR = GeneratorSpec(kappa=FIG_KAPPA)
 FIG_DEMAND_PER_PROSUMER = 10.0
 FIG_SIGMA_SWEEP = (3.30, 5.77, 26)
 FIG_MU_SWEEP = (6.0, 10.0, 21)
@@ -376,7 +377,7 @@ def _figure_tables(name: str):
         rows_cost, rows_clear, rows_poag = [], [], []
         for sigma in sigmas:
             sc = _figure_scenario(FIG_MU, sigma)
-            rep = price_of_aggregation(sc, (_figure_generator(),), FIG_DEMAND_PER_PROSUMER)
+            rep = price_of_aggregation(sc, (FIG_GENERATOR,), FIG_DEMAND_PER_PROSUMER)
             rows_cost.append([sigma, rep.cost_noder, rep.cost_aggregated, rep.cost_direct])
             rows_clear.append([
                 sigma,
@@ -397,15 +398,11 @@ def _figure_tables(name: str):
         rows = []
         for mu in np.linspace(mu_lo, mu_hi, mu_n):
             sc = _figure_scenario(mu, FIG_SIGMA)
-            rep = price_of_aggregation(sc, (_figure_generator(),), FIG_DEMAND_PER_PROSUMER)
+            rep = price_of_aggregation(sc, (FIG_GENERATOR,), FIG_DEMAND_PER_PROSUMER)
             rows.append([mu, 100.0 * mu / mu_hi, rep.poag])
         return [("fig6_right_poag_vs_integration.csv",
                  ["mu", "integration_pct", "poag"], rows)]
     raise ValidationError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
-
-
-def _figure_generator():
-    return GeneratorSpec(kappa=FIG_KAPPA)
 
 
 def cmd_figures(args) -> int:

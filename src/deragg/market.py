@@ -7,18 +7,19 @@ are read off the inverse response rho(x) on a grid of offers.  The
 aggregator buying N * x pays the outlay N * x * rho(x), so its offer curve
 is the slope of the lower convex hull of x * rho(x), its marginal outlay.
 A prosumer bidding directly plays no cost-sharing game, so its offer
-curve is the inverse response rho_1(y) of the one-prosumer game.  All
-supply is nondecreasing and piecewise linear in price, so clearing walks
-the merit order's knots to the price at which cumulative supply meets
-demand; the clearing price is the marginal cost of the marginal
-resource.  Transmission constraints are intentionally absent and demand
-is a point forecast.
+curve is the inverse response rho_1(y) of the one-prosumer game.  Every
+resource, generator or DER, offers one nondecreasing piecewise-linear
+supply curve, so clearing walks the merit order's knots to the price at
+which cumulative supply meets demand; the clearing price is the marginal
+cost of the marginal resource.  Transmission constraints are
+intentionally absent and demand is a point forecast.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -52,7 +53,8 @@ class GeneratorSpec:
 
     The ``segments`` hook accepts a convex piecewise-linear marginal cost as
     ``(marginal_price, width)`` pairs above ``qmin``; ``qmax`` is then
-    derived from the total width.
+    derived from the total width.  The generator bids its ``offer``, a
+    :class:`SupplyCurve` like any DER offer.
     """
 
     kappa: float
@@ -83,46 +85,19 @@ class GeneratorSpec:
         if self.qmax < self.qmin:
             raise ValidationError("qmax must be >= qmin")
 
-    def marginal_prices(self) -> tuple[float, ...]:
-        if self.segments is None:
-            return (self.kappa,)
-        return tuple(p for p, _ in self.segments)
+    @cached_property
+    def offer(self) -> SupplyCurve:
+        """Must-run ``qmin`` at any price, then each step at its marginal price.
 
-    def supply_at(self, price: float) -> float:
-        """Largest output whose marginal cost does not exceed ``price``."""
+        Without segments the one step is [qmin, qmax] at ``kappa``.
+        """
         if self.segments is None:
-            return self.qmax if price >= self.kappa else self.qmin
-        q = self.qmin
+            return SupplyCurve(((self.qmin, self.kappa), (self.qmax, self.kappa)))
+        points, q = [], self.qmin
         for p, w in self.segments:
-            if p <= price:
-                q += w
-        return q
-
-    def supply_below(self, price: float) -> float:
-        """Largest output with marginal cost strictly below ``price``."""
-        if self.segments is None:
-            return self.qmax if price > self.kappa else self.qmin
-        q = self.qmin
-        for p, w in self.segments:
-            if p < price:
-                q += w
-        return q
-
-    def cost(self, q: float) -> float:
-        if not self.qmin - 1e-9 <= q <= self.qmax + 1e-9:
-            raise ValidationError(f"dispatch {q} outside [{self.qmin}, {self.qmax}]")
-        if self.segments is None:
-            return self.kappa * q
-        first = self.segments[0][0]
-        total = first * min(q, self.qmin)
-        rest = max(q - self.qmin, 0.0)
-        for p, w in self.segments:
-            take = min(rest, w)
-            total += p * take
-            rest -= take
-            if rest <= 0.0:
-                break
-        return total
+            points += [(q, p), (q + w, p)]
+            q += w
+        return SupplyCurve(tuple(points))
 
 
 @dataclass(frozen=True)
@@ -130,8 +105,11 @@ class SupplyCurve:
     """Nondecreasing piecewise-linear inverse supply offer.
 
     ``breakpoints`` are sorted (quantity, price) pairs.  The price is
-    interpolated linearly between them and held flat outside them; the
-    quantity cap is the last quantity.
+    interpolated linearly between them and held flat outside them: below
+    its first price the curve offers its first quantity (0 for a DER
+    curve, the must-run output for a generator), and its quantity cap is
+    the last quantity.  Only that last quantity may be infinite (an
+    unbounded generator), and the last piece is then flat.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -140,9 +118,12 @@ class SupplyCurve:
         bps = tuple((float(q), float(p)) for q, p in self.breakpoints)
         if len(bps) < 2:
             raise ValidationError("supply curve needs at least two breakpoints")
-        if not all(math.isfinite(v) for bp in bps for v in bp):
-            raise ValidationError(f"supply curve breakpoints must be finite, got {bps}")
         qs, ps = zip(*bps)
+        if not (all(math.isfinite(v) for v in qs[:-1] + ps) and -math.inf < qs[-1]
+                and (qs[-1] < math.inf or ps[-2] == ps[-1])):
+            raise ValidationError(
+                f"breakpoints must be finite but for a last quantity of +inf on a flat piece: {bps}"
+            )
         if any(b < a for a, b in zip(qs, qs[1:])) or any(
             b < a - 1e-12 for a, b in zip(ps, ps[1:])
         ):
@@ -154,39 +135,37 @@ class SupplyCurve:
         return self.breakpoints[-1][0]
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        """Rows of quantities and prices."""
-        return np.array(list(zip(*self.breakpoints)))
+    def _columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The quantities and the prices."""
+        return tuple(zip(*self.breakpoints))
 
     def knot_prices(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.breakpoints)
+        return self._columns[1]
 
     def price_at(self, q: float) -> float:
         """Minimum price at which quantity ``q`` is offered (inverse supply)."""
-        if q < -1e-12 or q > self.quantity_cap + 1e-12:
+        qs, ps = self._columns
+        if not qs[0] - 1e-12 <= q <= qs[-1] + 1e-12:
             warnings.warn(
-                f"quantity {q:.6g} outside [0, {self.quantity_cap:.6g}]; price held flat",
+                f"quantity {q:.6g} outside [{qs[0]:.6g}, {qs[-1]:.6g}]; price held flat",
                 stacklevel=2,
             )
-        qs, ps = self._table
         return float(np.interp(q, qs, ps))
 
     def quantity_at(self, price: float) -> float:
         """Largest quantity whose marginal price does not exceed ``price``."""
-        return self._quantity(price, "right")
+        return self._quantity(price, bisect_right)
 
     def quantity_below(self, price: float) -> float:
         """Largest quantity with marginal price strictly below ``price``."""
-        return self._quantity(price, "left")
+        return self._quantity(price, bisect_left)
 
-    def _quantity(self, price: float, side: str) -> float:
-        qs, ps = self._table
-        k = int(np.searchsorted(ps, price, side))
-        if k == 0:
-            return 0.0
-        if k == len(ps):
-            return self.quantity_cap
-        return float(qs[k - 1] + (price - ps[k - 1]) * (qs[k] - qs[k - 1]) / (ps[k] - ps[k - 1]))
+    def _quantity(self, price: float, search) -> float:
+        qs, ps = self._columns
+        k = search(ps, price)
+        if k == 0 or k == len(ps):  # held flat outside the knots
+            return qs[-1 if k else 0]
+        return qs[k - 1] + (price - ps[k - 1]) * (qs[k] - qs[k - 1]) / (ps[k] - ps[k - 1])
 
     def cost_integral(self, q: float) -> float:
         """Integral of the inverse supply from 0 to ``q`` (procurement cost)."""
@@ -236,8 +215,7 @@ class DispatchProblem:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.mode != MODE_NODER and self.der_supply is None:
             raise ValidationError(f"mode {self.mode!r} needs a DER supply curve")
-        cap = 0.0 if self._curve() is None else self._curve().quantity_cap
-        total = sum(g.qmax for g in self.generators) + cap
+        total = sum(c.quantity_cap for c in self.offers)
         if total < self.demand * (1.0 - _BALANCE_RTOL):
             raise MarketInfeasibleError(
                 f"total capability {total:.6g} cannot meet demand {self.demand:.6g}",
@@ -249,8 +227,11 @@ class DispatchProblem:
                 "must-run minimum exceeds demand", shortfall=must_run - self.demand
             )
 
-    def _curve(self) -> SupplyCurve | None:
-        return None if self.mode == MODE_NODER else self.der_supply
+    @property
+    def offers(self) -> tuple[SupplyCurve, ...]:
+        """The generators' offers, then the DER curve if the mode uses one."""
+        der = () if self.mode == MODE_NODER else (self.der_supply,)
+        return tuple(g.offer for g in self.generators) + der
 
 
 @dataclass(frozen=True)
@@ -271,44 +252,39 @@ class DispatchOutcome:
 
 
 def clear_market(problem: DispatchProblem) -> DispatchOutcome:
-    """Exact merit-order clearing by walking the supply knots.
+    """Exact merit-order clearing by walking the offers' knots.
 
-    Cumulative supply is nondecreasing and piecewise linear in price; it
-    jumps or bends only at the knots, which are the generators' marginal
-    prices and the DER curve's breakpoint prices.  The clearing price is
-    the first knot at which supply covers demand, unless the DER curve
-    alone closes the gap on the open interval below that knot; then the
-    price is read off the curve.  Ties at the clearing price split pro rata
-    by remaining headroom (resources with unbounded headroom absorb the
-    residual).
+    Every resource, generator or DER, offers a :class:`SupplyCurve`, so
+    cumulative supply is nondecreasing and piecewise linear in price; it
+    jumps or bends only at the knots, the curves' breakpoint prices.  The
+    clearing price is the first knot at which supply covers demand, unless
+    supply strictly below that knot already exceeds demand; then supply
+    crossed demand between that knot and the one before, where it is
+    linear in price, and the price is interpolated there.  Demand that
+    must-run output alone meets clears at the lowest knot.  Ties at the
+    clearing price split pro rata by remaining headroom (resources with
+    unbounded headroom absorb the residual).
     """
     D = problem.demand
-    gens = problem.generators
-    curve = problem._curve()
+    offers = problem.offers
 
     def levels(p, strict=False):
-        """Each resource's largest output priced at (strictly below) ``p``."""
-        out = [g.supply_below(p) if strict else g.supply_at(p) for g in gens]
-        if curve is not None:
-            out.append(curve.quantity_below(p) if strict else curve.quantity_at(p))
-        return out
+        """Each offer's largest quantity priced at (strictly below) ``p``."""
+        return [c.quantity_below(p) if strict else c.quantity_at(p) for c in offers]
 
-    knots = sorted({p for g in gens for p in g.marginal_prices()}
-                   | set(curve.knot_prices() if curve is not None else ()))
-    if sum(levels(knots[0], strict=True)) >= D:
-        price = knots[0] - 1.0  # demand met by must-run output alone
-    else:
-        floor = D - _BALANCE_RTOL * max(D, 1.0)
-        k = next((i for i, p in enumerate(knots) if sum(levels(p)) >= floor), None)
-        if k is None:
-            raise MarketInfeasibleError(
-                "supply exhausted below demand", shortfall=D - sum(levels(knots[-1]))
-            )
-        price = knots[k]
-        below = levels(price, strict=True)
-        if sum(below) > D:
-            # between two knots only the DER curve moves
-            price = max(curve.price_at(D - sum(below[:-1])), knots[k - 1])
+    knots = sorted({p for c in offers for p in c.knot_prices()})
+    floor = D - _BALANCE_RTOL * max(D, 1.0)
+    k = next((i for i, p in enumerate(knots) if sum(levels(p)) >= floor), None)
+    if k is None:
+        raise MarketInfeasibleError(
+            "supply exhausted below demand", shortfall=D - sum(levels(knots[-1]))
+        )
+    price = knots[k]
+    below = sum(levels(price, strict=True))
+    if k > 0 and below > D:  # crossed on (knots[k-1], knots[k]), linear in price
+        lo = knots[k - 1]
+        at_lo = sum(levels(lo))
+        price = lo + (D - at_lo) * (price - lo) / (below - at_lo)
 
     base = levels(price, strict=True)
     at = levels(price)
@@ -325,8 +301,8 @@ def clear_market(problem: DispatchProblem) -> DispatchOutcome:
             for i, h in enumerate(head):
                 alloc[i] += residual * h / total_head
         elif residual > _BALANCE_RTOL * max(D, 1.0):
-            # a price read off the DER curve may leave an ulp, which the
-            # balance fix below absorbs
+            # an interpolated price may leave an ulp, which the balance fix
+            # below absorbs
             raise MarketInfeasibleError(
                 "no headroom at the clearing price", shortfall=residual
             )
@@ -336,13 +312,13 @@ def clear_market(problem: DispatchProblem) -> DispatchOutcome:
         j = max(range(len(alloc)), key=lambda i: alloc[i])
         alloc[j] -= diff
 
-    n_gen = len(gens)
-    gen_q = tuple(alloc[:n_gen])
-    der_q = alloc[n_gen] if curve is not None else 0.0
-    cost = sum(g.cost(q) for g, q in zip(gens, gen_q))
-    if curve is not None:
-        cost += curve.cost_integral(der_q)
-    return DispatchOutcome(gen_q, der_q, price, cost, D)
+    gens = problem.generators
+    for g, q in zip(gens, alloc):
+        if not g.qmin - 1e-9 <= q <= g.qmax + 1e-9:
+            raise ValidationError(f"dispatch {q} outside [{g.qmin}, {g.qmax}]")
+    cost = sum(c.cost_integral(q) for c, q in zip(offers, alloc))
+    der_q = alloc[len(gens)] if len(offers) > len(gens) else 0.0
+    return DispatchOutcome(tuple(alloc[:len(gens)]), der_q, price, cost, D)
 
 
 def _offers(model, n_points: int) -> list[float]:
@@ -367,9 +343,9 @@ def build_supply_curve_aggregated(
     (the kinks of rho), all from one inverse-response table.  A hull
     edge one offer wide contributes (N * midpoint, secant slope), exact
     for a quadratic R; a wider edge is ironed, flat at its slope between
-    its ends, and the curve rises from its right end.  The curve is cut at
-    the wholesale price rho_max, at which the followers offer their whole
-    capacity.
+    its ends, and the curve rises from its right end.  The curve starts at
+    quantity 0 and is cut at the wholesale price rho_max, at which the
+    followers offer their whole capacity.
     """
     rho = _InverseResponse(scenario, draws, seed)
     rho_min, rho_max = rho.bounds
@@ -405,6 +381,8 @@ def build_supply_curve_aggregated(
     else:
         (q0, p0), (q1, p1) = points[k - 1], points[k]
         points[k:] = [(q0 + (rho_max - p0) * (q1 - q0) / (p1 - p0), rho_max)]
+    if points[0][0] > 0.0:  # a first edge one offer wide: offer nothing below its slope
+        points.insert(0, (0.0, points[0][1]))
     return SupplyCurve(tuple(points))
 
 
@@ -522,7 +500,7 @@ def price_of_aggregation(
     poag = out_agg.total_cost / out_dir.total_cost
     # with dependent capacity the pooled offer never undercuts the direct one;
     # with iid capacity pooling hedges shortfalls and PoAg < 1 is genuine
-    kappa_min = min(p for g in generators for p in g.marginal_prices())
+    kappa_min = min(p for g in generators for p in g.offer.knot_prices())
     if (
         scenario.capacity.kind == DEPENDENT_UNIFORM
         and agg_curve.price_at(0.0) < kappa_min

@@ -8,6 +8,7 @@ constructors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .agents import GameScenario, UtilitySpec, linear_utility, tabulated_utility
@@ -203,11 +204,17 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
 def load_scenario(path) -> ScenarioFile:
     """Parse and validate one scenario file; raises ValidationError on any issue."""
     def reject_non_finite(token):
-        raise ValidationError(f"{path}: non-finite number {token} is not allowed")
+        raise ValidationError(f"{path}: non-finite number {token:.20} is not allowed")
+
+    def finite(token, kind):
+        # a literal such as 1e999, or an integer of 400 digits, overflows a float
+        return kind(token) if math.isfinite(float(token)) else reject_non_finite(token)
 
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=reject_non_finite)
+            data = json.load(fh, parse_constant=reject_non_finite,
+                             parse_float=lambda t: finite(t, float),
+                             parse_int=lambda t: finite(t, int))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -237,6 +244,9 @@ def apply_sweep_value(sf: ScenarioFile, parameter: str, value: float) -> Scenari
     elif parameter in ("lambda_da", "lambda_rt"):
         game = replace(game, **{parameter: value})
     elif parameter == "kappa":
+        if sf.generators[0].segments is not None:
+            # the segments, not kappa, price a segmented generator's output
+            raise ValidationError("cannot sweep kappa on a generator with segments")
         gens = (replace(sf.generators[0], kappa=value),) + sf.generators[1:]
         return replace(sf, generators=gens)
     elif parameter == "demand_per_prosumer":

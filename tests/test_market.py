@@ -20,10 +20,10 @@ def fig5_params(n=1, sigma=3.3):
 
 def test_generator_validation_and_supply():
     g = dg.GeneratorSpec(kappa=3.25)
-    assert g.supply_at(3.0) == 0.0
-    assert g.supply_at(3.25) == math.inf
-    assert g.supply_below(3.25) == 0.0
-    assert g.cost(7.0) == pytest.approx(3.25 * 7.0)
+    assert g.offer.quantity_at(3.0) == 0.0
+    assert g.offer.quantity_at(3.25) == math.inf
+    assert g.offer.quantity_below(3.25) == 0.0
+    assert g.offer.cost_integral(7.0) == pytest.approx(3.25 * 7.0)
     with pytest.raises(dg.ValidationError):
         dg.GeneratorSpec(kappa=-1.0)
     with pytest.raises(dg.ValidationError):
@@ -33,10 +33,10 @@ def test_generator_validation_and_supply():
 def test_generator_piecewise_segments():
     g = dg.GeneratorSpec(kappa=1.0, segments=((1.0, 5.0), (2.0, 5.0)))
     assert g.qmax == 10.0
-    assert g.supply_at(1.5) == 5.0
-    assert g.supply_at(2.0) == 10.0
-    assert g.supply_below(2.0) == 5.0
-    assert g.cost(7.0) == pytest.approx(1.0 * 5.0 + 2.0 * 2.0)
+    assert g.offer.quantity_at(1.5) == 5.0
+    assert g.offer.quantity_at(2.0) == 10.0
+    assert g.offer.quantity_below(2.0) == 5.0
+    assert g.offer.cost_integral(7.0) == pytest.approx(1.0 * 5.0 + 2.0 * 2.0)
     with pytest.raises(dg.ValidationError):
         dg.GeneratorSpec(kappa=1.0, segments=((2.0, 5.0), (1.0, 5.0)))
 
@@ -176,8 +176,8 @@ def test_exact_clearing_on_mixed_merit_order():
     for demand in np.linspace(1.0, 18.0, 69):
         out = dg.clear_market(dg.DispatchProblem(gens, float(demand), curve, MODE_DIRECT))
         p = out.clearing_price
-        below = sum(g.supply_below(p) for g in gens) + curve.quantity_below(p)
-        at = sum(g.supply_at(p) for g in gens) + curve.quantity_at(p)
+        below = sum(g.offer.quantity_below(p) for g in gens) + curve.quantity_below(p)
+        at = sum(g.offer.quantity_at(p) for g in gens) + curve.quantity_at(p)
         slack = _BALANCE_RTOL * max(demand, 1.0)
         assert below - slack <= demand <= at + slack
         if 0.0 < out.cleared_der < curve.quantity_cap:  # the DER curve is marginal
@@ -186,6 +186,85 @@ def test_exact_clearing_on_mixed_merit_order():
             off_knot.add(int(p))
     # the DER curve alone set the price inside (1, 2), (2, 3), (3, 4) and (4, 5)
     assert off_knot == {1, 2, 3, 4}
+
+
+def _random_merit_order(rng):
+    """Generators of every kind (must-run, finite and unbounded, segmented)
+    on integer prices, so knots tie across resources, and a DER curve with
+    flat runs."""
+    gens = []
+    for kind in rng.integers(0, 3, size=rng.integers(1, 4)):
+        kappa = float(rng.integers(1, 7))
+        qmin = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+        if kind == 0:
+            gens.append(dg.GeneratorSpec(kappa=kappa, qmin=qmin))
+        elif kind == 1:
+            gens.append(dg.GeneratorSpec(kappa=kappa, qmin=qmin, qmax=qmin + rng.uniform(1.0, 5.0)))
+        else:
+            prices = np.sort(rng.integers(1, 7, size=3)).astype(float)
+            widths = rng.uniform(0.5, 3.0, size=3)
+            gens.append(dg.GeneratorSpec(kappa=kappa, qmin=qmin,
+                                         segments=tuple(zip(prices, widths))))
+    qs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 3.0, size=5))])
+    ps = np.sort(rng.choice([1.0, 2.5, 2.5, 3.5, 4.0, 5.5], size=6))
+    return tuple(gens), dg.SupplyCurve(tuple(zip(qs, ps)))
+
+
+def test_exact_clearing_on_random_merit_orders():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        gens, curve = _random_merit_order(rng)
+        mode = MODE_DIRECT if rng.random() < 0.7 else MODE_NODER
+        offers = [g.offer for g in gens] + ([curve] if mode == MODE_DIRECT else [])
+        must_run = sum(g.qmin for g in gens)
+        cap = min(sum(c.quantity_cap for c in offers), must_run + 30.0)
+        demand = float(rng.uniform(must_run, cap))
+        out = dg.clear_market(dg.DispatchProblem(gens, demand, curve, mode))
+        p = out.clearing_price
+        alloc = list(out.cleared_generator) + ([out.cleared_der] if mode == MODE_DIRECT else [])
+        slack = _BALANCE_RTOL * max(demand, 1.0)
+        for c, q in zip(offers, alloc):
+            assert c.quantity_below(p) - slack <= q <= c.quantity_at(p) + slack
+        assert sum(alloc) == pytest.approx(demand, abs=slack)
+        assert out.total_cost == pytest.approx(
+            sum(c.cost_integral(q) for c, q in zip(offers, alloc)), rel=1e-12
+        )
+
+
+def test_must_run_clears_at_the_lowest_knot():
+    g = dg.GeneratorSpec(kappa=0.5, qmin=10.0, qmax=20.0)
+    out = dg.clear_market(dg.DispatchProblem((g,), 10.0, None, MODE_NODER))
+    assert out.clearing_price == 0.5
+    assert out.cleared_generator == (10.0,)
+    assert out.total_cost == pytest.approx(5.0)
+    # the cheaper generator is marginal once the must-run output is dispatched
+    cheap = dg.GeneratorSpec(kappa=0.25, qmax=5.0)
+    out = dg.clear_market(dg.DispatchProblem((g, cheap), 10.0, None, MODE_NODER))
+    assert out.clearing_price == 0.25
+    assert out.cleared_generator == (10.0, 0.0)
+
+
+def test_supply_curve_accepts_only_a_last_unbounded_quantity():
+    curve = dg.SupplyCurve(((1.0, 2.0), (math.inf, 2.0)))
+    assert curve.quantity_below(2.0) == 1.0  # the first quantity is offered at any price
+    assert curve.quantity_at(2.0) == math.inf
+    assert curve.cost_integral(3.0) == pytest.approx(6.0)
+    for bad in (
+        ((0.0, 1.0), (math.nan, 1.0)),
+        ((0.0, 1.0), (-math.inf, 1.0)),
+        ((0.0, 1.0), (math.inf, 1.0), (math.inf, 1.0)),
+        ((0.0, 1.0), (math.inf, 2.0)),  # an unbounded last piece must be flat
+    ):
+        with pytest.raises(dg.ValidationError):
+            dg.SupplyCurve(bad)
+
+
+def test_numeric_aggregated_curve_starts_at_zero():
+    # with the support reaching 0, the first hull edge is one offer wide
+    curve = dg.build_supply_curve_aggregated(make_scenario(sigma=10.0 / dg.SQRT3), n_points=9)
+    (q0, p0), (q1, p1) = curve.breakpoints[:2]
+    assert q0 == 0.0 and q1 > 0.0 and p0 == p1
+    assert curve.quantity_below(p0) == 0.0
 
 
 def test_cost_monotone_in_demand():

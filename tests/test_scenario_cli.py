@@ -95,6 +95,33 @@ def test_sweep_parsing_and_application():
         parse_scenario(deep(payload, (("sweep", "parameter"), "voltage")))
 
 
+def test_kappa_sweep_rejected_on_segmented_generator():
+    # segments, not kappa, price the first generator: a kappa sweep would
+    # repeat one market at every point
+    payload = deep(BASE, (("generators",), [{"kappa": 1.0, "segments": [[3.0, 5], [3.5, 100]]}]))
+    sf = parse_scenario(payload)
+    with pytest.raises(ValidationError, match="segments"):
+        apply_sweep_value(sf, "kappa", 3.25)
+
+
+@pytest.mark.parametrize("key,token", [
+    (("solver", "draws"), "1e999"),
+    (("scenario", "n_prosumers"), "1e999"),
+    (("sweep", "steps"), "1e999"),
+    (("scenario", "d0"), "9" * 400),
+    (("demand_per_prosumer",), "1e999"),
+], ids=["draws", "n_prosumers", "sweep-steps", "d0-400-digits", "demand"])
+def test_cli_rejects_numbers_that_overflow_a_float(tmp_path, capsys, key, token):
+    sweep = {"parameter": "sigma", "from": 3.3, "to": 5.77, "steps": 3}
+    payload = deep(BASE, (("sweep",), sweep), (key, "OVERFLOW"))
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(payload).replace('"OVERFLOW"', token), encoding="utf-8")
+    with pytest.raises(ValidationError, match="non-finite number"):
+        load_scenario(str(path))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     assert cli.main(["validate", write_scenario(tmp_path, BASE)]) == 0
     assert "ok" in capsys.readouterr().out
