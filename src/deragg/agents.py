@@ -121,6 +121,38 @@ class GameScenario:
             raise ValidationError(f"lambda_rt must be positive, got {self.lambda_rt}")
 
 
+class _MarginalUtilityDraws:
+    """Monte-Carlo E[u'(d0 + C - x)] over one set of capacity draws.
+
+    The draws are sampled once, sorted, and kept with their prefix sums.
+    u' is linear between the table knots z_k, with value m_k and slope
+    s_k, and held flat outside them; in capacity space the knots sit at
+    z_k - d0 + x.  One ``searchsorted`` of those points gives each
+    segment's draw count n_k and draw sum S_k, and the mean over the draws
+    is  (sum_k n_k*(m_k + s_k*(d0 - x - z_k)) + s_k*S_k  plus the flat
+    ends) / draws: the per-draw mean summed in another order.
+    """
+
+    def __init__(self, scenario: GameScenario, draws: int, seed: int):
+        self.d0 = scenario.d0
+        self.zs, self.ms, _ = scenario.utility._table
+        self.slopes = np.diff(self.ms) / np.diff(self.zs)
+        self.caps = np.sort(sample(scenario.capacity, 1, seed, draws)[:, 0])
+        self.prefix = np.concatenate([[0.0], np.cumsum(self.caps)])
+
+    def __call__(self, x):
+        """E[u'] at offer ``x``, a scalar or an array of offers."""
+        x = np.asarray(x, dtype=float)[..., None]
+        draws = len(self.caps)
+        idx = np.searchsorted(self.caps, self.zs - self.d0 + x)  # draws below each knot
+        count = np.diff(idx)
+        total = np.diff(self.prefix[idx])
+        zs, ms, s = self.zs, self.ms, self.slopes
+        inner = count * (ms[:-1] + s * (self.d0 - x - zs[:-1])) + s * total
+        out = (ms[0] * idx[..., 0] + inner.sum(axis=-1) + ms[-1] * (draws - idx[..., -1])) / draws
+        return out if out.ndim else float(out)
+
+
 def expected_marginal_utility(
     scenario: GameScenario,
     x: float,
@@ -128,11 +160,12 @@ def expected_marginal_utility(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """E[u'(d0 + C - x)]; exact for linear utility, Monte Carlo otherwise."""
+    if not math.isfinite(x):
+        raise ValidationError(f"offer must be finite, got {x}")
     u = scenario.utility
     if u.kind == LINEAR:
         return u.gamma
-    caps = sample(scenario.capacity, 1, seed, draws)[:, 0]
-    return float(np.mean(u.marginal(scenario.d0 + caps - x)))
+    return _MarginalUtilityDraws(scenario, draws, seed)(x)
 
 
 def expected_utility(

@@ -23,7 +23,10 @@ Certain capacity is the same game without shortfall at x <= cbar, so
 rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one memoised
 table together with its price bounds; the forward responses x*(rho)
 (:func:`symmetric_follower_response`, :func:`meanfield_solve`) are
-bisections of rho(x) = rho on that table.
+bisections of rho(x) = rho on that table.  Its Monte-Carlo draws are
+sampled once per solve: with a tabulated utility, the E[u'] draws are
+sorted once and E[u'] at each offer is read off their prefix sums, one
+``searchsorted`` of the table knots per offer.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from functools import cached_property
 import numpy as np
 
 from .agents import (
+    TABULATED,
     EquilibriumResult,
     GameScenario,
     SolverDiagnostics,
+    _MarginalUtilityDraws,
     expected_marginal_utility,
 )
 from .capacity import (
@@ -176,17 +181,23 @@ def follower_foc_gap(
     x: float,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
-    _caps: _CoverageDraws | None = None,
+    _caps: _InverseResponse | None = None,
 ) -> float:
     """Signed gap of the symmetric first-order condition at offer ``x``.
 
     Positive means the prosumer wants to offer more; strictly decreasing in
     ``x`` on the capacity support for prices strictly inside the bounds.
     Certain capacity runs short only above cbar, so its gap is
-    ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.
+    ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.  ``_caps`` is the solve's
+    inverse response, which holds the draws it samples once; without it
+    the draws are sampled here.
     """
     model = scenario.capacity
-    lhs = (rho - expected_marginal_utility(scenario, x, draws=draws, seed=seed)) / scenario.lambda_rt
+    if _caps is None:
+        emu = expected_marginal_utility(scenario, x, draws=draws, seed=seed)
+    else:
+        emu = _caps.marginal_utility(x)
+    lhs = (rho - emu) / scenario.lambda_rt
     if model.kind == DETERMINISTIC:
         diag_cdf = float(x > model.cbar)
     else:
@@ -195,7 +206,8 @@ def follower_foc_gap(
     if model.kind == IID_UNIFORM:
         diag_cdf = diag_cdf**scenario.n_prosumers
         if scenario.n_prosumers >= 2:
-            h = float(partial_coverage_samples(scenario, x, draws, seed, caps=_caps).mean())
+            coverage = None if _caps is None else _caps.caps
+            h = float(partial_coverage_samples(scenario, x, draws, seed, caps=coverage).mean())
     return lhs - diag_cdf - h
 
 
@@ -230,9 +242,20 @@ class _InverseResponse:
     def caps(self) -> _CoverageDraws | None:
         return _coverage_caps(self.scenario, self.draws, self.seed)
 
+    @cached_property
+    def emu(self) -> _MarginalUtilityDraws | None:
+        """The E[u'] kernel on the solve's draws; linear utility needs none."""
+        if self.scenario.utility.kind == TABULATED:
+            return _MarginalUtilityDraws(self.scenario, self.draws, self.seed)
+        return None
+
+    def marginal_utility(self, x: float) -> float:
+        """E[u'(d0 + C - x)] on the solve's draws."""
+        return self.scenario.utility.gamma if self.emu is None else self.emu(x)
+
     def gap(self, rho: float, x: float) -> float:
         return follower_foc_gap(
-            self.scenario, rho, x, draws=self.draws, seed=self.seed, _caps=self.caps
+            self.scenario, rho, x, draws=self.draws, seed=self.seed, _caps=self
         )
 
     def _rho(self, x: float) -> float:
@@ -373,12 +396,14 @@ class _MeanFieldInverse(_InverseResponse):
 
     def _rho(self, x: float) -> float:
         model = self.scenario.capacity
-        return expected_marginal_utility(self.scenario, x) + (
+        return self.marginal_utility(x) + (
             self.scenario.lambda_rt * _meanfield_beta(model, x) * cdf_marginal(model, x)
         )
 
 
-def meanfield_solve(scenario: GameScenario, rho: float, tol: float = 1e-12) -> MeanFieldSolution:
+def meanfield_solve(
+    scenario: GameScenario, rho: float, tol: float = 1e-12, _inverse: _MeanFieldInverse | None = None
+) -> MeanFieldSolution:
     """Solve the large-N system  beta*F(x) = (rho - E[u'])/lambda_rt  with
     beta = (x - E[C])+ / E[(x - C)+].
 
@@ -386,9 +411,10 @@ def meanfield_solve(scenario: GameScenario, rho: float, tol: float = 1e-12) -> M
     offer bracket of width ``tol``; beta follows from x.  At indifference
     (rho = rho_min) the maximal offer x* = E[C] is returned, matching the
     large-N equilibrium path.  Where the offer cap binds, beta = 1 and the
-    cap multiplier carries the gap.
+    cap multiplier carries the gap.  ``_inverse`` is a mean-field inverse
+    response of ``scenario`` that a leader search has already built.
     """
-    inverse = _MeanFieldInverse(scenario)
+    inverse = _MeanFieldInverse(scenario) if _inverse is None else _inverse
     model = scenario.capacity
     rho_min, rho_max = inverse.bounds
     x = inverse.forward(rho, tol)
@@ -413,10 +439,11 @@ def meanfield_stackelberg(
     the indifference optimum is found exactly.
     """
     model = scenario.capacity
+    inverse = _MeanFieldInverse(scenario)
     _, rho_star, diag = _offer_search(
-        _MeanFieldInverse(scenario), grid_points, tol_x, extra=(min(model.mean, model.cbar),)
+        inverse, grid_points, tol_x, extra=(min(model.mean, model.cbar),)
     )
-    sol = meanfield_solve(scenario, rho_star)
+    sol = meanfield_solve(scenario, rho_star, _inverse=inverse)
     n = scenario.n_prosumers
     result = EquilibriumResult(
         rho_star, sol.x_star, n * sol.x_star, (scenario.lambda_da - rho_star) * n * sol.x_star,

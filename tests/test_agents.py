@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import deragg as dg
+from deragg.agents import _MarginalUtilityDraws, expected_marginal_utility
 from deragg.penalty import MIN_DRAWS, penalty_draws
 from oracles import _utility
 from workloads import TABULATED_SCENARIO
@@ -41,6 +42,37 @@ def test_tabulated_utility_value_is_exact_and_batch_independent():
         alone = u.value(float(zi))
         assert abs(alone - float(exact(zi))) <= 1e-12
         assert u.value(np.array([zi, 400.0]))[0] == alone
+
+
+@pytest.mark.parametrize("cap", [
+    dg.dependent_uniform(10.0, 3.3), dg.iid_uniform(10.0, 3.3), dg.deterministic(10.0),
+], ids=lambda c: c.kind)
+def test_marginal_utility_kernel_matches_per_draw_mean(cap):
+    # the sorted-draws kernel sums the same per-draw values in another order
+    points = TABULATED_SCENARIO["scenario"]["utility"]["marginal_points"]
+    sc = dg.GameScenario(3, 16.5, cap, dg.tabulated_utility(points), 4.0, 4.0)
+    draws, seed = 20_000, 5
+    caps = dg.sample(cap, 1, seed, draws)[:, 0]
+    kernel = _MarginalUtilityDraws(sc, draws, seed)
+    # the table knots sit at z - d0 + x in capacity space: x = 0 and x = 10
+    # put knots inside the support, x = -1.5 puts all four outside it, and
+    # x = +-100 moves every draw past one flat end of the table
+    xs = np.array([0.0, 10.0, cap.cbar, -1.5, 100.0, -100.0, *np.linspace(0.0, cap.cbar, 36)])
+    ref = np.array([np.mean(sc.utility.marginal(sc.d0 + caps - x)) for x in xs])
+    assert np.max(np.abs(kernel(xs) - ref)) <= 1e-12
+    for x, r in zip(xs, ref):
+        got = kernel(float(x))
+        assert isinstance(got, float) and abs(got - r) <= 1e-12
+        assert expected_marginal_utility(sc, float(x), draws=draws, seed=seed) == got
+    assert np.array_equal(kernel(xs.reshape(3, -1)), kernel(xs).reshape(3, -1))
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("utility", [dg.linear_utility(2.5), dg.tabulated_utility([(0.0, 3.0), (20.0, 1.0)])])
+def test_expected_marginal_utility_rejects_non_finite_offer(x, utility):
+    sc = dg.GameScenario(1, 20.0, dg.dependent_uniform(10.0, 3.3), utility, 4.0, 4.0)
+    with pytest.raises(dg.ValidationError, match="finite"):
+        expected_marginal_utility(sc, x)
 
 
 def test_scenario_validation():

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -151,8 +152,7 @@ def test_coverage_memory_bounded_in_n_and_draws():
     sc = dg.GameScenario(n, 30.0, dg.iid_uniform(10.0, 3.3), dg.linear_utility(2.5), 4.0, 4.0)
     tracemalloc.start()
     try:
-        layout = _coverage_caps(sc, draws, 1)
-        dg.follower_foc_gap(sc, 4.0, sc.capacity.cbar, draws=draws, seed=1, _caps=layout)
+        _InverseResponse(sc, draws, 1).gap(4.0, sc.capacity.cbar)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -440,3 +440,65 @@ def test_integral_float_prosumer_count_is_stored_as_int():
     for bad in (2.5, math.nan, math.inf):
         with pytest.raises(dg.ValidationError, match="n_prosumers"):
             dg.GameScenario(bad, 20.0, dg.iid_uniform(10.0, 3.3), dg.linear_utility(2.5), 4.0, 4.0)
+
+
+def _count_samples(monkeypatch):
+    """Count capacity.sample calls made from any deragg module."""
+    calls = []
+    real = dg.sample
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "deragg" or name.startswith("deragg.")) and getattr(module, "sample", None) is real:
+            monkeypatch.setattr(module, "sample", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid_points", [64, 256])
+def test_tabulated_solve_samples_per_solve_not_per_offer(monkeypatch, grid_points):
+    # the bounds take two one-shot E[u'] values; every other offer reads
+    # the solve's sorted draws, whatever the grid size
+    calls = _count_samples(monkeypatch)
+    dg.stackelberg_solve(_tabulated_scenario(), grid_points=grid_points, draws=20_000, seed=7)
+    assert 1 <= len(calls) <= 3
+
+
+def test_linear_utility_solves_never_sample(monkeypatch):
+    calls = _count_samples(monkeypatch)
+    dg.stackelberg_solve(make_scenario(), grid_points=64)
+    dg.stackelberg_solve(make_scenario(kind="deterministic"), grid_points=64)
+    dg.meanfield_stackelberg(make_scenario(kind="iid", n=4), grid_points=64)
+    assert calls == []
+
+
+def test_meanfield_stackelberg_tabulated_against_dense_grid_oracle():
+    # exact E[u'(d0 + C - x)] = (u(d0 + hi - x) - u(d0 + lo - x)) / W for
+    # C ~ U[lo, hi], and the closed-form beta(x) * F(x) of the mean field
+    cap = dg.iid_uniform(10.0, 3.3)
+    sc = dg.GameScenario(4, 16.5, cap, dg.tabulated_utility(_TABLE), 4.0, 4.0)
+    lo, hi = cap.support
+    width = hi - lo
+    xs = np.linspace(0.0, cap.cbar, 400_001)
+    emu = (sc.utility.value(sc.d0 + hi - xs) - sc.utility.value(sc.d0 + lo - xs)) / width
+    short = dg.expected_shortfall(cap, xs)
+    beta = np.clip(np.maximum(xs - cap.mean, 0.0) / np.where(short > 0.0, short, 1.0), 0.0, 1.0)
+    rho = emu + sc.lambda_rt * beta * np.clip((xs - lo) / width, 0.0, 1.0)
+    oracle_rho = rho[int(np.argmax((sc.lambda_da - rho) * xs))]
+
+    res, sol = dg.meanfield_stackelberg(sc)
+    assert abs(res.rho_star - oracle_rho) <= 2e-3
+    assert res.x_star == sol.x_star
+
+
+def test_meanfield_stackelberg_builds_one_inverse_response(monkeypatch):
+    # meanfield_solve reuses the leader's inverse response: one set of bounds
+    calls = []
+    real = dg.equilibrium.offer_price_bounds
+    monkeypatch.setattr(dg.equilibrium, "offer_price_bounds",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    res, sol = dg.meanfield_stackelberg(make_scenario(kind="iid", n=4), grid_points=64)
+    assert len(calls) == 1
+    assert res.x_star == sol.x_star
