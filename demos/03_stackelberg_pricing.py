@@ -28,7 +28,7 @@ res = dg.stackelberg_solve(sc)
 rho_cf, curve = dg.closed_form_equilibrium(dg.closed_form_params(sc))
 print(f"\nnumeric : rho* = {res.rho_star:.6f}  x* = {res.x_star:.6f}")
 print(f"closed  : rho* = {rho_cf:.6f}  x* = {curve(rho_cf):.6f}")
-print(f"profit  : {res.leader_profit:.6f}   concave grid: {res.diagnostics.concavity_ok}")
+print(f"profit  : {res.leader_profit:.6f}   concave on the hull: {res.diagnostics.concavity_ok}")
 
 print("\nmore uncertainty -> higher posted price, smaller offers:")
 for sigma in (3.3, 4.0, 4.8, 5.6):

@@ -13,7 +13,6 @@ from .agents import (
     GameScenario,
     SolverDiagnostics,
     UtilitySpec,
-    aggregator_profit,
     linear_utility,
     prosumer_payoff,
     tabulated_utility,
@@ -26,7 +25,6 @@ from .capacity import (
     deterministic,
     expected_shortfall,
     iid_uniform,
-    quantile_marginal,
     sample,
 )
 from .closedform import (
@@ -74,6 +72,6 @@ from .market import (
     direct_affine_curve,
     price_of_aggregation,
 )
-from .penalty import PenaltyInput, expected_penalty, penalty_share, penalty_shares
+from .penalty import expected_penalty, penalty_shares
 
 __version__ = "0.1.0"

@@ -202,13 +202,6 @@ def prosumer_payoff(
     return comp + util - pen
 
 
-def aggregator_profit(scenario: GameScenario, rho: float, aggregate_x: float) -> float:
-    """Day-ahead arbitrage margin; negative when rho exceeds lambda_da."""
-    if rho < 0.0:
-        raise ValidationError("rho must be nonnegative")
-    return (scenario.lambda_da - rho) * aggregate_x
-
-
 @dataclass(frozen=True)
 class SolverDiagnostics:
     """What the equilibrium search did and whether its assumptions held."""

@@ -113,18 +113,6 @@ def cdf_marginal(model: CapacityModel, c):
     return out if out.ndim else float(out)
 
 
-def quantile_marginal(model: CapacityModel, q):
-    """Inverse of :func:`cdf_marginal` on [0, 1]."""
-    if model.kind not in UNIFORM_KINDS:
-        raise UnsupportedOperationError("quantile_marginal needs a uniform kind")
-    qa = np.asarray(q, dtype=float)
-    if np.any((qa < 0.0) | (qa > 1.0)):
-        raise ValidationError("quantile argument must lie in [0, 1]")
-    lo, hi = model.support
-    out = lo + qa * (hi - lo)
-    return out if out.ndim else float(out)
-
-
 def expected_shortfall(model: CapacityModel, x):
     """E[(x - C)+], the mean undersupply when offering ``x``.
 

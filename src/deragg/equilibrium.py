@@ -15,8 +15,11 @@ response explicitly,
 
 which is nondecreasing in x.  The aggregator therefore searches over the
 pooled offer instead of the price: it maximizes (lambda_da - rho(x)) * N * x
-on a grid over [0, cbar] refined by golden section, one FOC evaluation per
-candidate, and posts rho* = rho(x*).  The large-N independent limit has the
+and posts rho* = rho(x*).  One table of the outlay R(x) = x * rho(x) on a
+fixed set of offers answers this at every wholesale price: the leader takes
+the vertex of R's lower convex hull that is best at lambda_da and refines
+it by golden section, one FOC evaluation per candidate, and the aggregated
+supply curve is the hull's slope.  The large-N independent limit has the
 explicit inverse rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
 Certain capacity is the same game without shortfall at x <= cbar, so
@@ -57,7 +60,7 @@ from .errors import SolverError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 DEFAULT_TOL_X = 1e-8
-DEFAULT_GRID_POINTS = 512
+DEFAULT_GRID_POINTS = 256
 MAX_BISECT_ITER = 200
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -229,8 +232,9 @@ class _InverseResponse:
     The FOC gap is affine in rho with slope 1/lambda_rt, so one gap
     evaluation at rho_min gives the price at which ``x`` is the symmetric
     best response.  rho(x) does not depend on lambda_da, so one table of
-    it gives the leader's offer at every wholesale price (the aggregated
-    supply curve), and :meth:`forward` inverts it at any price.
+    it and its :meth:`hull` give the leader's offer at every wholesale
+    price (the aggregated supply curve), and :meth:`forward` inverts it
+    at any price.
     """
 
     def __init__(self, scenario: GameScenario, draws: int, seed: int):
@@ -267,6 +271,31 @@ class _InverseResponse:
             self._memo[x] = self._rho(x)
         return self._memo[x]
 
+    def offers(self, n: int) -> list[float]:
+        """``n`` offers on [0, cbar] plus the support ends (the kinks of F)."""
+        model = self.scenario.capacity
+        # a sorted set, not np.unique, whose first call raises the process's peak memory
+        return sorted({*np.linspace(0.0, model.cbar, n).tolist(), *model.support})
+
+    def hull(self, n: int) -> tuple[list[float], list[float], list[int]]:
+        """The offers, the outlays R(x) = x * rho(x) there, and the indices of
+        the offers on the lower convex hull of R, in ascending order."""
+        xs = self.offers(n)
+        rs = [x * self(x) for x in xs]
+        hull = []  # monotone chain over offer indices
+        for i in range(len(xs)):
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                left = (xs[b] - xs[a]) * (rs[i] - rs[a])
+                right = (rs[b] - rs[a]) * (xs[i] - xs[a])
+                # keep b only strictly below the chord a-i: float noise must not
+                # split a straight run, such as rho = rho_min below the support
+                if left - right > 1e-12 * (abs(left) + abs(right)):
+                    break
+                hull.pop()
+            hull.append(i)
+        return xs, rs, hull
+
     def forward(self, rho: float, tol: float) -> float:
         """The offer x at which rho(x) = rho: 0 at or below rho_min, cbar at or above rho_max."""
         _check_tol(tol)
@@ -288,12 +317,14 @@ def stackelberg_solve(
 ) -> EquilibriumResult:
     """Leader's optimal price against the symmetric response curve.
 
-    The leader picks the pooled offer: ``grid_points`` offers on [0, cbar]
-    and a golden-section refinement to ``tol_x`` each cost one FOC
+    The leader picks the pooled offer: the best vertex at lambda_da of the
+    lower convex hull of x * rho(x) over ``grid_points`` offers on [0, cbar]
+    plus the support ends, refined by golden section to ``tol_x`` between
+    its neighbouring offers.  Each offer and golden step costs one FOC
     evaluation, and the posted price is rho* = rho(x*).  Where rho(x) is
-    flat the followers are indifferent along the run and the leader buys
-    its largest offer: with certain capacity and linear utility, the whole
-    capacity at rho* = rho_min.
+    flat the followers are indifferent along the run, the hull skips it,
+    and the leader buys its largest offer: with certain capacity and linear
+    utility, the whole capacity at rho* = rho_min.
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
@@ -308,23 +339,26 @@ def stackelberg_solve(
     )
 
 
-def _offer_search(inverse, grid_points, tol, extra=()):
+def _offer_search(inverse, grid_points, tol):
     """Maximise the leader profit (lambda_da - rho(x)) * N * x over x in [0, cbar].
 
     With lambda_da at or below rho_min no offer is profitable: the leader
-    posts rho* = lambda_da and buys nothing.  Otherwise a uniform offer
-    grid locates the best offer and doubles as a concavity diagnostic:
-    nonpositive second differences of profit certify the sufficient
-    condition under which the maximiser is unique.  Golden section refines
-    around the best grid point; the ``extra`` offers (kinks of rho that the
-    grid would miss) compete with the refined one.
+    posts rho* = lambda_da and buys nothing.  Otherwise the best offer is
+    the vertex of the lower convex hull of R(x) = x * rho(x) that
+    maximises lambda_da * x - R(x), the one whose adjacent edge slopes
+    bracket lambda_da.  Golden section refines between the offers on
+    either side of it, and the vertex itself stays a candidate.  Both
+    diagnostics are facts about the hull: the profit is concave on the
+    offers if every offer with rho(x) <= lambda_da lies on it, and the
+    maximiser may not be unique if lambda_da is the slope of an ironed
+    edge (one that skips offers) next to the chosen vertex.
     Returns (x*, rho(x*), diagnostics).
     """
     if grid_points < 4:
         raise ValidationError("grid_points must be at least 4")
     _check_tol(tol)
     scenario = inverse.scenario
-    lambda_da, n, cbar = scenario.lambda_da, scenario.n_prosumers, scenario.capacity.cbar
+    lambda_da, n = scenario.lambda_da, scenario.n_prosumers
     if lambda_da <= inverse.bounds[0]:
         notes = ("degenerate price interval; followers never offer",)
         diag = SolverDiagnostics(0, 0, 0.0, True, False, inverse.seed, inverse.draws, notes)
@@ -333,28 +367,27 @@ def _offer_search(inverse, grid_points, tol, extra=()):
     def profit(x):
         return (lambda_da - inverse(x)) * n * x
 
-    grid = np.linspace(0.0, cbar, grid_points)
-    profits = np.array([profit(x) for x in grid])
-    best = int(np.argmax(profits))
-    scale = max(1.0, float(np.max(np.abs(profits))))
-
-    d2 = profits[2:] - 2.0 * profits[1:-1] + profits[:-2]
-    concavity_ok = bool(np.all(d2 <= 1e-7 * scale))
-    near_best = profits >= profits[best] - 1e-9 * scale
-    components = int(np.sum(np.diff(near_best.astype(int)) == 1) + near_best[0])
-    multiple_maxima = components > 1
+    xs, rs, hull = inverse.hull(grid_points)
+    best = max(hull, key=lambda i: lambda_da * xs[i] - rs[i])
+    k = hull.index(best)
+    around = hull[max(k - 1, 0):k + 2]
+    multiple_maxima = any(
+        b > a + 1 and math.isclose((rs[b] - rs[a]) / (xs[b] - xs[a]), lambda_da, rel_tol=1e-9)
+        for a, b in zip(around, around[1:])
+    )
+    on_hull = np.interp(xs, [xs[i] for i in hull], [rs[i] for i in hull])
+    concavity_ok = all(
+        r - h <= 1e-9 * abs(r) for x, r, h in zip(xs, rs, on_hull) if r <= lambda_da * x
+    )
     notes = []
     if multiple_maxima:
-        notes.append("multiple grid maxima within tolerance; uniqueness condition may fail")
+        notes.append("lambda_da is the slope of an ironed hull edge; uniqueness condition may fail")
     if not concavity_ok:
-        notes.append("profit not concave along the offer grid")
+        notes.append("profit not concave: a profitable offer lies above the hull of x * rho(x)")
 
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid_points - 1)])
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
-    candidates = [(x_ref, prof_ref), (float(grid[best]), profits[best])]
-    candidates += [(float(x), profit(x)) for x in extra]
-    x_star = max(candidates, key=lambda c: c[1])[0]
+    x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
     diag = SolverDiagnostics(
         grid_points, iters, 0.0, concavity_ok, multiple_maxima, inverse.seed, inverse.draws,
         tuple(notes),
@@ -393,6 +426,11 @@ class _MeanFieldInverse(_InverseResponse):
         if scenario.capacity.kind != IID_UNIFORM:
             raise ValidationError("mean-field solve requires iid capacities")
         super().__init__(scenario, DEFAULT_DRAWS, DEFAULT_SEED)
+
+    def offers(self, n: int) -> list[float]:
+        """The finite-N offers plus x = E[C], where the flat piece of rho ends."""
+        model = self.scenario.capacity
+        return sorted({*super().offers(n), min(model.mean, model.cbar)})
 
     def _rho(self, x: float) -> float:
         model = self.scenario.capacity
@@ -435,14 +473,12 @@ def meanfield_stackelberg(
     """Leader's price against the mean-field response curve.
 
     Same offer-space search as :func:`stackelberg_solve`, with the offer
-    x = E[C] (the end of the flat piece of rho) always a candidate, so
-    the indifference optimum is found exactly.
+    x = E[C] (the end of the flat piece of rho) on the hull, so the
+    indifference optimum is found exactly.
     """
     model = scenario.capacity
     inverse = _MeanFieldInverse(scenario)
-    _, rho_star, diag = _offer_search(
-        inverse, grid_points, tol_x, extra=(min(model.mean, model.cbar),)
-    )
+    _, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
     sol = meanfield_solve(scenario, rho_star, _inverse=inverse)
     n = scenario.n_prosumers
     result = EquilibriumResult(

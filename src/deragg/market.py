@@ -33,7 +33,7 @@ from .closedform import (
     inverse_supply_aggregated,
     inverse_supply_direct,
 )
-from .equilibrium import _InverseResponse
+from .equilibrium import DEFAULT_GRID_POINTS, _InverseResponse
 from .errors import MarketInfeasibleError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
@@ -321,15 +321,9 @@ def clear_market(problem: DispatchProblem) -> DispatchOutcome:
     return DispatchOutcome(tuple(alloc[:len(gens)]), der_q, price, cost, D)
 
 
-def _offers(model, n_points: int) -> list[float]:
-    """``n_points`` offers on [0, cbar] plus the support ends (the kinks of F)."""
-    # a sorted set, not np.unique, whose first call raises the process's peak memory
-    return sorted({*np.linspace(0.0, model.cbar, n_points).tolist(), *model.support})
-
-
 def build_supply_curve_aggregated(
     scenario: GameScenario,
-    n_points: int = 256,
+    n_points: int = DEFAULT_GRID_POINTS,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> SupplyCurve:
@@ -338,9 +332,10 @@ def build_supply_curve_aggregated(
     At wholesale price p the aggregator buys the pooled offer N * x that
     maximises N * (p * x - R(x)) with R(x) = x * rho(x), so its offer curve
     is the slope of the lower convex hull of R: the marginal outlay
-    rho + x * rho' where R is convex, ironed flat where it is not.  R is
-    read off at ``n_points`` offers on [0, cbar] plus the support ends
-    (the kinks of rho), all from one inverse-response table.  A hull
+    rho + x * rho' where R is convex, ironed flat where it is not.  It
+    is the hull the leader search reads at lambda_da = p
+    (:func:`deragg.equilibrium.stackelberg_solve`), over ``n_points``
+    offers on [0, cbar] plus the support ends (the kinks of rho).  A hull
     edge one offer wide contributes (N * midpoint, secant slope), exact
     for a quadratic R; a wider edge is ironed, flat at its slope between
     its ends, and the curve rises from its right end.  The curve starts at
@@ -350,20 +345,7 @@ def build_supply_curve_aggregated(
     rho = _InverseResponse(scenario, draws, seed)
     rho_min, rho_max = rho.bounds
     n = scenario.n_prosumers
-    xs = _offers(scenario.capacity, n_points)
-    rs = [x * rho(x) for x in xs]
-    hull = []  # monotone chain over offer indices
-    for i in range(len(xs)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            left = (xs[b] - xs[a]) * (rs[i] - rs[a])
-            right = (rs[b] - rs[a]) * (xs[i] - xs[a])
-            # keep b only strictly below the chord a-i: float noise must not
-            # split a straight run, such as rho = rho_min below the support
-            if left - right > 1e-12 * (abs(left) + abs(right)):
-                break
-            hull.pop()
-        hull.append(i)
+    xs, rs, hull = rho.hull(n_points)
     points = []
     for a, b in zip(hull, hull[1:]):
         slope = (rs[b] - rs[a]) / (xs[b] - xs[a])
@@ -406,7 +388,7 @@ def build_supply_curve_direct(
     rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), draws, seed)
     n = scenario.n_prosumers
     points = []
-    for y in _offers(scenario.capacity, n_points):
+    for y in rho_1.offers(n_points):
         p = rho_1(y)
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
             points[-1] = (n * y, p)  # stretch the flat run to its largest offer

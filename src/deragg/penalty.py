@@ -9,8 +9,6 @@ and equal shortfalls pay equal shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .capacity import sample
@@ -20,27 +18,6 @@ from .errors import ValidationError
 MIN_DRAWS = 10_000
 DEFAULT_DRAWS = 100_000
 DEFAULT_SEED = 0
-
-
-@dataclass(frozen=True)
-class PenaltyInput:
-    """One realized market outcome: offers, capacities, and the buy-back price."""
-
-    offers: np.ndarray
-    capacities: np.ndarray
-    lambda_rt: float
-
-    def __post_init__(self):
-        offers = np.asarray(self.offers, dtype=float)
-        caps = np.asarray(self.capacities, dtype=float)
-        if offers.ndim != 1 or caps.shape != offers.shape:
-            raise ValidationError("offers and capacities must be 1-D vectors of equal length")
-        if np.any(offers < 0.0) or np.any(caps < 0.0):
-            raise ValidationError("offers and capacities must be nonnegative")
-        if self.lambda_rt < 0.0:
-            raise ValidationError("lambda_rt must be nonnegative")
-        object.__setattr__(self, "offers", offers)
-        object.__setattr__(self, "capacities", caps)
 
 
 def penalty_shares(offers, capacities, lambda_rt: float) -> np.ndarray:
@@ -59,14 +36,6 @@ def penalty_shares(offers, capacities, lambda_rt: float) -> np.ndarray:
     denom = shortfall.sum(axis=-1)
     safe = np.where(denom > 0.0, denom, 1.0)
     return (lam * pool)[..., None] * shortfall / safe[..., None]
-
-
-def penalty_share(inp: PenaltyInput, i: int) -> float:
-    """Share paid by prosumer ``i`` for the realized outcome ``inp``."""
-    n = inp.offers.shape[0]
-    if not 0 <= i < n:
-        raise ValidationError(f"prosumer index {i} out of range for n={n}")
-    return float(penalty_shares(inp.offers, inp.capacities, inp.lambda_rt)[i])
 
 
 def penalty_draws(scenario, x_i: float, x_others: float, draws: int, seed: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .capacity import (
     deterministic,
     iid_uniform,
 )
+from .equilibrium import DEFAULT_GRID_POINTS
 from .errors import ValidationError
 from .market import GeneratorSpec
 
@@ -43,7 +44,7 @@ class SolverSettings:
     draws: int = 100_000
     seed: int = 0
     tol_x: float = 1e-8
-    rho_grid_points: int = 512
+    rho_grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
         if self.draws < 1:

@@ -140,23 +140,6 @@ def test_deterministic_best_offer_is_all_or_nothing():
         assert xs[int(np.argmax(payoffs))] == best
 
 
-def test_aggregator_profit():
-    sc = make_scenario()
-    assert dg.aggregator_profit(sc, sc.lambda_da, 12.0) == 0.0
-    assert dg.aggregator_profit(sc, 2.5005, 4.2864) == pytest.approx(6.428, abs=1e-3)
-    assert dg.aggregator_profit(sc, 1.0, 0.0) == 0.0
-    assert dg.aggregator_profit(sc, 5.0, 2.0) < 0.0
-    with pytest.raises(dg.ValidationError):
-        dg.aggregator_profit(sc, -0.5, 1.0)
-
-
-def test_aggregator_profit_linear_in_each_argument():
-    sc = make_scenario()
-    f = dg.aggregator_profit
-    assert f(sc, 2.0, 3.0) + f(sc, 2.0, 5.0) == pytest.approx(2.0 * f(sc, 2.0, 4.0))
-    assert f(sc, 1.0, 4.0) + f(sc, 3.0, 4.0) == pytest.approx(2.0 * f(sc, 2.0, 4.0))
-
-
 def test_nominal_demand_only_shifts_payoff():
     lo_d0 = make_scenario(d0=17.0)
     hi_d0 = make_scenario(d0=23.0)

@@ -80,12 +80,6 @@ def test_cdf_rejected_for_deterministic():
         dg.cdf_marginal(dg.deterministic(10.0), 5.0)
 
 
-def test_quantile_inverts_cdf():
-    m = dg.dependent_uniform(10.0, 3.3)
-    for q in (0.0, 0.125, 0.5, 1.0):
-        assert dg.cdf_marginal(m, dg.quantile_marginal(m, q)) == pytest.approx(q, abs=1e-12)
-
-
 def test_expected_shortfall_closed_form_vs_montecarlo():
     m = dg.dependent_uniform(10.0, 3.3)
     caps = dg.sample(m, 1, rng_seed=1, draws=400_000)[:, 0]

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ import pytest
 import deragg as dg
 from deragg.equilibrium import _coverage_caps, _InverseResponse, partial_coverage_samples
 from deragg.penalty import MIN_DRAWS
+from deragg.scenario import load_scenario
 
-from conftest import coverage_by_quadrature, coverage_n2, coverage_reference, make_scenario
+from conftest import (
+    ROOT,
+    coverage_by_quadrature,
+    coverage_n2,
+    coverage_reference,
+    make_scenario,
+)
 
 
 def test_rho_bounds_linear():
@@ -232,6 +240,44 @@ def test_stackelberg_deterministic_tabulated_matches_hand_optimum():
     assert res.x_star == 10.0
     assert res.rho_star == pytest.approx(2.85, abs=1e-12)
     assert res.leader_profit == pytest.approx(11.5, abs=1e-11)
+
+
+def test_hull_diagnostics_on_an_ironed_edge():
+    # rho(x) = u'(21 - x) has a concave kink at x = 9, so x * rho(x) has one
+    # ironed hull edge across it; at lambda_da equal to that edge's slope
+    # both of its ends are best.  Profit is concave where it is not
+    # negative only if lambda_da is below rho there: rho(x) <= 2.5 for x <= 4
+    sc = _deterministic_tabulated_scenario()
+    low = dg.stackelberg_solve(replace(sc, lambda_da=2.5), grid_points=64, draws=2000, seed=1)
+    assert low.diagnostics.concavity_ok
+    xs, rs, hull = _InverseResponse(sc, 2000, 1).hull(64)
+    ((a, b),) = [(a, b) for a, b in zip(hull, hull[1:]) if b > a + 1]
+    assert xs[a] < 9.0 < xs[b]
+    slope = (rs[b] - rs[a]) / (xs[b] - xs[a])
+    for lambda_da, expected in ((slope, True), (slope - 0.01, False), (slope + 0.01, False)):
+        res = dg.stackelberg_solve(
+            replace(sc, lambda_da=lambda_da), grid_points=64, draws=2000, seed=1
+        )
+        diag = res.diagnostics
+        assert diag.multiple_maxima is expected
+        assert not diag.concavity_ok
+        assert any("uniqueness" in note for note in diag.notes) is expected
+
+
+def test_leader_evaluates_each_offer_once(monkeypatch):
+    # one memoised pass over the offers the hull is built on, then the
+    # golden refinement and the follower residual at x*
+    sf = load_scenario(ROOT / "scenarios" / "base.json")
+    s = sf.solver
+    calls = []
+    real = dg.equilibrium.follower_foc_gap
+    monkeypatch.setattr(dg.equilibrium, "follower_foc_gap",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    res = dg.stackelberg_solve(
+        sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points, draws=s.draws, seed=s.seed
+    )
+    offers = _InverseResponse(sf.scenario, s.draws, s.seed).offers(s.rho_grid_points)
+    assert len(calls) <= len(offers) + res.diagnostics.refine_iterations + 4
 
 
 def test_deterministic_tabulated_follower_matches_payoff_argmax():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import deragg as dg
-from deragg.equilibrium import _InverseResponse
+from deragg.equilibrium import DEFAULT_GRID_POINTS
 from deragg.market import _BALANCE_RTOL, MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
 from deragg.scenario import parse_scenario
 from oracles import tabulated_inverse_response
@@ -367,25 +367,19 @@ def test_dispatch_outcome_balance_guard():
 
 
 @pytest.mark.filterwarnings("ignore:sigma=.*outside the closed-form band")
-@pytest.mark.parametrize("kind,n", [("dependent", 1), ("iid", 2)])
+@pytest.mark.parametrize("kind,n", [("dependent", 1), ("iid", 2), ("iid", 4)])
 def test_aggregated_curve_matches_per_price_solves(kind, n):
-    # the hull slope of x*rho(x) must give the leader's choice at each
-    # wholesale price: the same offer for a smooth rho, the same profit
-    # where Monte-Carlo noise in rho leaves near-ties between offers
+    # the leader at lambda_da = p and the curve at p read one hull of
+    # x * rho(x) over the same offers, so they buy the same pooled offer up
+    # to the golden refinement, which stays within the offers next to the
+    # hull vertex; Monte-Carlo noise in rho does not move that vertex apart
     sc = make_scenario(kind=kind, n=n)
     curve = dg.build_supply_curve_aggregated(sc, draws=10_000, seed=3)
     rho_min, rho_max = dg.offer_price_bounds(sc, draws=10_000, seed=3)
-    rho = _InverseResponse(sc, 10_000, 3)
-    step = n * sc.capacity.cbar / 256
+    step = n * sc.capacity.cbar / (DEFAULT_GRID_POINTS - 1)
     for price in np.linspace(rho_min, rho_max, 22)[1:-1]:
         res = dg.stackelberg_solve(
-            replace(sc, lambda_da=float(price)), grid_points=64, draws=10_000, seed=3
+            replace(sc, lambda_da=float(price)), grid_points=DEFAULT_GRID_POINTS,
+            draws=10_000, seed=3,
         )
-        q = curve.quantity_at(price)
-        if kind == "dependent":
-            assert q == pytest.approx(res.aggregate_x, abs=step)
-        else:
-            profit = (price - rho(q / n)) * q
-            assert profit == pytest.approx(
-                res.leader_profit, abs=1e-2 * max(res.leader_profit, 1.0)
-            )
+        assert res.aggregate_x == pytest.approx(curve.quantity_at(price), abs=step)

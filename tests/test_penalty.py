@@ -9,20 +9,19 @@ from conftest import make_scenario
 
 def test_hand_evaluated_shares():
     # total shortfall 3, individual shortfalls (2, 1)
-    inp = dg.PenaltyInput(np.array([3.0, 3.0]), np.array([1.0, 2.0]), 4.0)
-    assert dg.penalty_share(inp, 0) == pytest.approx(8.0)
-    assert dg.penalty_share(inp, 1) == pytest.approx(4.0)
+    shares = dg.penalty_shares([3.0, 3.0], [1.0, 2.0], 4.0)
+    assert shares[0] == pytest.approx(8.0)
+    assert shares[1] == pytest.approx(4.0)
 
 
 def test_no_exploitation_single():
-    inp = dg.PenaltyInput(np.array([1.0, 3.0]), np.array([2.0, 2.0]), 4.0)
-    assert dg.penalty_share(inp, 0) == 0.0
+    assert dg.penalty_shares([1.0, 3.0], [2.0, 2.0], 4.0)[0] == 0.0
 
 
 def test_no_aggregate_shortfall():
-    inp = dg.PenaltyInput(np.array([2.0, 2.0]), np.array([3.0, 3.0]), 7.0)
-    assert dg.penalty_share(inp, 0) == 0.0
-    assert dg.penalty_share(inp, 1) == 0.0
+    shares = dg.penalty_shares([2.0, 2.0], [3.0, 3.0], 7.0)
+    assert shares[0] == 0.0
+    assert shares[1] == 0.0
 
 
 def test_surplus_covers_part_of_shortfall():
@@ -30,18 +29,6 @@ def test_surplus_covers_part_of_shortfall():
     shares = dg.penalty_shares([4.0, 1.0], [2.0, 2.0], 2.0)
     assert shares[0] == pytest.approx(2.0 * 1.0)
     assert shares[1] == 0.0
-
-
-def test_input_validation():
-    with pytest.raises(dg.ValidationError):
-        dg.PenaltyInput(np.array([1.0]), np.array([1.0, 2.0]), 4.0)
-    with pytest.raises(dg.ValidationError):
-        dg.PenaltyInput(np.array([-1.0]), np.array([1.0]), 4.0)
-    with pytest.raises(dg.ValidationError):
-        dg.PenaltyInput(np.array([1.0]), np.array([1.0]), -4.0)
-    inp = dg.PenaltyInput(np.array([1.0]), np.array([1.0]), 4.0)
-    with pytest.raises(dg.ValidationError):
-        dg.penalty_share(inp, 1)
 
 
 def test_expected_penalty_deterministic_is_zero():
