@@ -159,12 +159,15 @@ def expected_marginal_utility(
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """E[u'(d0 + C - x)]; exact for linear utility, Monte Carlo otherwise."""
-    if not math.isfinite(x):
+    """E[u'(d0 + C - x)]; exact for linear utility, Monte Carlo otherwise.
+
+    ``x`` may be an array of offers, all read off one set of draws.
+    """
+    if not np.isfinite(x).all():
         raise ValidationError(f"offer must be finite, got {x}")
     u = scenario.utility
     if u.kind == LINEAR:
-        return u.gamma
+        return u.marginal(x)  # u' = gamma whatever the consumption
     return _MarginalUtilityDraws(scenario, draws, seed)(x)
 
 
@@ -206,7 +209,7 @@ def prosumer_payoff(
 class SolverDiagnostics:
     """What the equilibrium search did and whether its assumptions held."""
 
-    grid_points: int
+    grid_points: int  # offers the hull was built on
     refine_iterations: int
     follower_residual: float
     concavity_ok: bool

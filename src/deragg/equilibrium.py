@@ -18,9 +18,12 @@ pooled offer instead of the price: it maximizes (lambda_da - rho(x)) * N * x
 and posts rho* = rho(x*).  One table of the outlay R(x) = x * rho(x) on a
 fixed set of offers answers this at every wholesale price: the leader takes
 the vertex of R's lower convex hull that is best at lambda_da and refines
-it by golden section, one FOC evaluation per candidate, and the aggregated
-supply curve is the hull's slope.  The large-N independent limit has the
-explicit inverse rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
+it by golden section, one FOC evaluation per golden step, and the
+aggregated supply curve is the hull's slope.  The table itself is one
+numpy evaluation of rho over every offer, except where the Monte-Carlo
+coverage term h applies (iid, N >= 2): its kernel takes one offer per
+FOC evaluation.  The large-N independent limit has the explicit inverse
+rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
 Certain capacity is the same game without shortfall at x <= cbar, so
 rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one memoised
@@ -82,13 +85,13 @@ def offer_price_bounds(
 ) -> tuple[float, float]:
     """Prices below/above which the symmetric response pins to 0 / cbar.
 
-    For linear utility this is (gamma, lambda_rt + gamma).
+    For linear utility this is (gamma, lambda_rt + gamma).  Both ends
+    come from one E[u'] call, which samples its draws once.
     """
-    rho_min = expected_marginal_utility(scenario, 0.0, draws=draws, seed=seed)
-    rho_max = scenario.lambda_rt + expected_marginal_utility(
-        scenario, scenario.capacity.cbar, draws=draws, seed=seed
-    )
-    return rho_min, rho_max
+    emu_0, emu_cbar = expected_marginal_utility(
+        scenario, np.array([0.0, scenario.capacity.cbar]), draws=draws, seed=seed
+    ).tolist()
+    return emu_0, scenario.lambda_rt + emu_cbar
 
 
 @dataclass(frozen=True)
@@ -191,9 +194,11 @@ def follower_foc_gap(
     Positive means the prosumer wants to offer more; strictly decreasing in
     ``x`` on the capacity support for prices strictly inside the bounds.
     Certain capacity runs short only above cbar, so its gap is
-    ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.  ``_caps`` is the solve's
-    inverse response, which holds the draws it samples once; without it
-    the draws are sampled here.
+    ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.  ``x`` may be an array of
+    offers unless the Monte-Carlo coverage term applies (iid, N >= 2),
+    which takes one offer at a time.  ``_caps`` is the solve's inverse
+    response, which holds the draws it samples once; without it the draws
+    are sampled here.
     """
     model = scenario.capacity
     if _caps is None:
@@ -202,21 +207,29 @@ def follower_foc_gap(
         emu = _caps.marginal_utility(x)
     lhs = (rho - emu) / scenario.lambda_rt
     if model.kind == DETERMINISTIC:
-        diag_cdf = float(x > model.cbar)
+        diag_cdf = np.greater(x, model.cbar) * 1.0
     else:
         diag_cdf = cdf_marginal(model, x)
     h = 0.0
     if model.kind == IID_UNIFORM:
         diag_cdf = diag_cdf**scenario.n_prosumers
-        if scenario.n_prosumers >= 2:
+        if _has_coverage(scenario):
+            if np.ndim(x):
+                raise ValidationError("the coverage term takes one offer at a time")
             coverage = None if _caps is None else _caps.caps
             h = float(partial_coverage_samples(scenario, x, draws, seed, caps=coverage).mean())
-    return lhs - diag_cdf - h
+    gap = lhs - diag_cdf - h
+    return gap if np.ndim(gap) else float(gap)
+
+
+def _has_coverage(scenario):
+    """Whether the FOC carries the Monte-Carlo coverage term h (iid, N >= 2)."""
+    return scenario.capacity.kind == IID_UNIFORM and scenario.n_prosumers >= 2
 
 
 def _coverage_caps(scenario, draws, seed):
     """Capacity draws behind the coverage term, sampled and laid out once per solve (or None)."""
-    if scenario.capacity.kind == IID_UNIFORM and scenario.n_prosumers >= 2:
+    if _has_coverage(scenario):
         return _coverage_layout(sample(scenario.capacity, scenario.n_prosumers, seed, draws))
     return None
 
@@ -271,6 +284,25 @@ class _InverseResponse:
             self._memo[x] = self._rho(x)
         return self._memo[x]
 
+    @property
+    def per_offer(self) -> bool:
+        """Whether rho takes one offer at a time: the coverage kernel does."""
+        return _has_coverage(self.scenario)
+
+    def table(self, xs) -> np.ndarray:
+        """rho at every offer of ``xs``, kept in the memo.
+
+        One numpy call evaluates the whole table unless :attr:`per_offer`:
+        the coverage kernel then runs once per offer, so no offers-by-draws
+        array is ever held.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.per_offer:
+            return np.array([self(x) for x in xs.tolist()])
+        rhos = self._rho(xs)
+        self._memo.update(zip(xs.tolist(), rhos.tolist()))
+        return rhos
+
     def offers(self, n: int) -> list[float]:
         """``n`` offers on [0, cbar] plus the support ends (the kinks of F)."""
         model = self.scenario.capacity
@@ -281,7 +313,7 @@ class _InverseResponse:
         """The offers, the outlays R(x) = x * rho(x) there, and the indices of
         the offers on the lower convex hull of R, in ascending order."""
         xs = self.offers(n)
-        rs = [x * self(x) for x in xs]
+        rs = (np.asarray(xs) * self.table(xs)).tolist()
         hull = []  # monotone chain over offer indices
         for i in range(len(xs)):
             while len(hull) >= 2:
@@ -320,11 +352,12 @@ def stackelberg_solve(
     The leader picks the pooled offer: the best vertex at lambda_da of the
     lower convex hull of x * rho(x) over ``grid_points`` offers on [0, cbar]
     plus the support ends, refined by golden section to ``tol_x`` between
-    its neighbouring offers.  Each offer and golden step costs one FOC
-    evaluation, and the posted price is rho* = rho(x*).  Where rho(x) is
-    flat the followers are indifferent along the run, the hull skips it,
-    and the leader buys its largest offer: with certain capacity and linear
-    utility, the whole capacity at rho* = rho_min.
+    its neighbouring offers.  The offer table costs one FOC evaluation
+    (one per offer with the Monte-Carlo coverage term, iid N >= 2), each
+    golden step one more, and the posted price is rho* = rho(x*).  Where
+    rho(x) is flat the followers are indifferent along the run, the hull
+    skips it, and the leader buys its largest offer: with certain capacity
+    and linear utility, the whole capacity at rho* = rho_min.
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
@@ -389,7 +422,7 @@ def _offer_search(inverse, grid_points, tol):
     x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
     diag = SolverDiagnostics(
-        grid_points, iters, 0.0, concavity_ok, multiple_maxima, inverse.seed, inverse.draws,
+        len(xs), iters, 0.0, concavity_ok, multiple_maxima, inverse.seed, inverse.draws,
         tuple(notes),
     )
     return x_star, inverse(x_star), diag
@@ -408,12 +441,12 @@ class MeanFieldSolution:
             raise ValidationError(f"beta={self.beta} outside [0, 1]")
 
 
-def _meanfield_beta(model, x: float) -> float:
-    """Pass-through ratio beta(x) = (x - E[C])+ / E[(x - C)+], clipped to [0, 1]."""
-    den = expected_shortfall(model, x)
-    if den <= 0.0:
-        return 0.0
-    return min(max((x - model.mean) / den, 0.0), 1.0)
+def _meanfield_beta(model, x):
+    """Pass-through ratio beta(x) = (x - E[C])+ / E[(x - C)+], clipped to [0, 1], vectorized."""
+    den = np.asarray(expected_shortfall(model, x))
+    ratio = (x - model.mean) / np.where(den > 0.0, den, 1.0)
+    out = np.where(den > 0.0, np.clip(ratio, 0.0, 1.0), 0.0)
+    return out if out.ndim else float(out)
 
 
 class _MeanFieldInverse(_InverseResponse):
@@ -421,6 +454,8 @@ class _MeanFieldInverse(_InverseResponse):
 
     Nondecreasing in x, and flat at E[u'] up to x = E[C] where beta = 0.
     """
+
+    per_offer = False  # no coverage term: beta * F is one numpy expression
 
     def __init__(self, scenario: GameScenario):
         if scenario.capacity.kind != IID_UNIFORM:

@@ -387,9 +387,9 @@ def build_supply_curve_direct(
     """
     rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), draws, seed)
     n = scenario.n_prosumers
+    ys = rho_1.offers(n_points)
     points = []
-    for y in rho_1.offers(n_points):
-        p = rho_1(y)
+    for y, p in zip(ys, rho_1.table(ys).tolist()):
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
             points[-1] = (n * y, p)  # stretch the flat run to its largest offer
         else:

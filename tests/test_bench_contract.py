@@ -30,3 +30,13 @@ def test_workload_trace_contract(name, tmp_path, monkeypatch):
     calls = {layer: row[tracer.CALLS] for layer, row in t.snapshot()[0].items()}
     assert sorted(n for n in wl.uses if not calls.get(n)) == []
     assert sorted(n for n in wl.never if calls.get(n)) == []
+
+
+def test_benchmark_self_check_passes(monkeypatch):
+    # the benchmark's hand-counted iid N=2, grid-4 solve: one capacity
+    # sample, and one coverage-kernel call per FOC evaluation
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # bench/run.py pins them on import
+    import run
+
+    assert run.self_check() == []

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import deragg as dg
-from deragg.equilibrium import _coverage_caps, _InverseResponse, partial_coverage_samples
+from deragg.equilibrium import (
+    _coverage_caps,
+    _InverseResponse,
+    _MeanFieldInverse,
+    partial_coverage_samples,
+)
 from deragg.penalty import MIN_DRAWS
 from deragg.scenario import load_scenario
 
@@ -95,6 +100,15 @@ def test_foc_gap_deterministic_has_no_shortfall_term():
     # past cbar the whole excess is short
     margin = 3.0 - float(sc.utility.marginal(10.5))
     assert dg.follower_foc_gap(sc, 3.0, 10.5) == pytest.approx(margin / 4.0 - 1.0, abs=1e-15)
+
+
+def test_foc_gap_takes_an_offer_array_unless_the_coverage_term_applies():
+    xs = np.linspace(0.0, 13.0, 27)
+    for sc in (_deterministic_tabulated_scenario(), make_scenario(), make_scenario(kind="iid")):
+        gaps = [dg.follower_foc_gap(sc, 3.0, x, draws=MIN_DRAWS) for x in xs.tolist()]
+        assert dg.follower_foc_gap(sc, 3.0, xs, draws=MIN_DRAWS).tolist() == gaps
+    with pytest.raises(dg.ValidationError, match="one offer at a time"):
+        dg.follower_foc_gap(make_scenario(kind="iid", n=2), 3.0, xs, draws=MIN_DRAWS)
 
 
 def test_coverage_term_zero_cases(iid2_scenario):
@@ -264,10 +278,9 @@ def test_hull_diagnostics_on_an_ironed_edge():
         assert any("uniqueness" in note for note in diag.notes) is expected
 
 
-def test_leader_evaluates_each_offer_once(monkeypatch):
-    # one memoised pass over the offers the hull is built on, then the
-    # golden refinement and the follower residual at x*
-    sf = load_scenario(ROOT / "scenarios" / "base.json")
+def _count_foc_calls(monkeypatch, scenario_file):
+    """Solve a shipped scenario; return the result and its follower_foc_gap calls."""
+    sf = load_scenario(ROOT / "scenarios" / scenario_file)
     s = sf.solver
     calls = []
     real = dg.equilibrium.follower_foc_gap
@@ -277,7 +290,53 @@ def test_leader_evaluates_each_offer_once(monkeypatch):
         sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points, draws=s.draws, seed=s.seed
     )
     offers = _InverseResponse(sf.scenario, s.draws, s.seed).offers(s.rho_grid_points)
-    assert len(calls) <= len(offers) + res.diagnostics.refine_iterations + 4
+    assert res.diagnostics.grid_points == len(offers)
+    return res, calls
+
+
+def test_leader_evaluates_each_offer_once(monkeypatch):
+    # one FOC call evaluates the whole offer table, then the golden
+    # refinement and the follower residual at x*
+    res, calls = _count_foc_calls(monkeypatch, "base.json")
+    assert res.diagnostics.grid_points == 257  # 256 offers on [0, cbar] plus the support's low end
+    assert len(calls) <= res.diagnostics.refine_iterations + 5
+
+
+def test_iid_leader_evaluates_the_coverage_term_once_per_offer(monkeypatch):
+    # the Monte-Carlo coverage kernel takes one offer per FOC call
+    res, calls = _count_foc_calls(monkeypatch, "iid.json")
+    assert res.diagnostics.grid_points < len(calls)
+    assert len(calls) <= res.diagnostics.grid_points + res.diagnostics.refine_iterations + 4
+
+
+@pytest.mark.parametrize("case", [
+    "dependent", "deterministic", "tabulated", "deterministic-tabulated", "meanfield",
+    "meanfield-tabulated", "iid-n4",
+])
+def test_table_matches_the_scalar_inverse_response(case, monkeypatch):
+    # the whole-table rho equals the per-offer memo path bit for bit, off
+    # the offer grid too, and leaves the hull unchanged
+    iid4 = make_scenario(kind="iid", n=4)
+    iid4_tabulated = replace(iid4, d0=16.5, utility=dg.tabulated_utility(_TABLE))
+    build = {
+        "dependent": lambda: _InverseResponse(make_scenario(), 2000, 7),
+        "deterministic": lambda: _InverseResponse(make_scenario(kind="deterministic"), 2000, 7),
+        "tabulated": lambda: _InverseResponse(_tabulated_scenario(), 20_000, 7),
+        "deterministic-tabulated": lambda: _InverseResponse(
+            _deterministic_tabulated_scenario(), 20_000, 7),
+        "meanfield": lambda: _MeanFieldInverse(iid4),
+        "meanfield-tabulated": lambda: _MeanFieldInverse(iid4_tabulated),
+        "iid-n4": lambda: _InverseResponse(iid4, 2000, 7),
+    }[case]
+    inverse, scalar = build(), build()
+    xs = inverse.offers(32) + np.linspace(0.0, inverse.scenario.capacity.cbar, 13)[1:-1].tolist()
+    rhos = inverse.table(xs)
+    assert rhos.tolist() == [scalar(x) for x in xs]
+    assert all(inverse._memo[x] == scalar(x) for x in xs)
+    monkeypatch.setattr(scalar, "table", lambda offers: np.array([scalar(x) for x in offers]))
+    assert inverse.hull(32) == scalar.hull(32)
+    if case.startswith("meanfield"):
+        assert "caps" not in vars(inverse)  # no coverage layout behind the mean field
 
 
 def test_deterministic_tabulated_follower_matches_payoff_argmax():
@@ -505,11 +564,11 @@ def _count_samples(monkeypatch):
 
 @pytest.mark.parametrize("grid_points", [64, 256])
 def test_tabulated_solve_samples_per_solve_not_per_offer(monkeypatch, grid_points):
-    # the bounds take two one-shot E[u'] values; every other offer reads
-    # the solve's sorted draws, whatever the grid size
+    # the bounds sample once for both ends; every offer reads the solve's
+    # sorted draws, whatever the grid size
     calls = _count_samples(monkeypatch)
     dg.stackelberg_solve(_tabulated_scenario(), grid_points=grid_points, draws=20_000, seed=7)
-    assert 1 <= len(calls) <= 3
+    assert 1 <= len(calls) <= 2
 
 
 def test_linear_utility_solves_never_sample(monkeypatch):
