@@ -30,9 +30,13 @@ rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one memoised
 table together with its price bounds; the forward responses x*(rho)
 (:func:`symmetric_follower_response`, :func:`meanfield_solve`) are
 bisections of rho(x) = rho on that table.  Its Monte-Carlo draws are
-sampled once per solve: with a tabulated utility, the E[u'] draws are
+sampled once per solve.  With a tabulated utility, the E[u'] draws are
 sorted once and E[u'] at each offer is read off their prefix sums, one
-``searchsorted`` of the table knots per offer.
+``searchsorted`` of the table knots per offer.  A draw is in the event
+of h at offer x exactly when max(C_i, sum_j C_j / N) <= x < max_j C_j;
+the coverage draws are kept only where that interval is not empty and
+are sorted by where it opens, so each evaluation of h reduces only the
+draws whose interval has opened.
 """
 
 from __future__ import annotations
@@ -98,26 +102,54 @@ def offer_price_bounds(
 class _CoverageDraws:
     """Capacity draws laid out for the coverage kernel, once per solve.
 
-    ``own`` holds the own capacities C_i in ascending order; row j of
-    ``rivals`` holds rival j's capacity in the same draw order, and
-    ``rival_sum``/``rival_max`` reduce the rivals of each draw.
+    At offer x a draw is in the coverage event when some rival has surplus
+    and C_i <= x + min(s, 0), that is when max(C_i, sum_j C_j / N) <= x <
+    max_j C_j: each draw's event is an interval of offers.  Only the draws
+    whose interval is not empty (C_i < max_j C_j) are kept, ascending in
+    ``start``, the offer where the interval opens lowered by a rounding
+    margin.  ``own`` holds C_i, ``rival_max`` the largest rival capacity
+    and row j of ``rivals`` rival j's capacity, in the same order;
+    ``draws`` counts the draws kept or not.
     """
 
+    draws: int
+    start: np.ndarray
     own: np.ndarray
-    rivals: np.ndarray
-    rival_sum: np.ndarray
     rival_max: np.ndarray
+    rivals: np.ndarray
+
+    def opened(self, x: float) -> int:
+        """The number of leading draws whose event interval opens at or below ``x``."""
+        return int(np.searchsorted(self.start, x, "right"))
 
 
 def _coverage_layout(caps: np.ndarray) -> _CoverageDraws:
-    """Lay out a ``(draws, N)`` capacity array, column 0 the own capacity."""
-    order = np.argsort(caps[:, 0], kind="stable")
-    rivals = np.empty((caps.shape[1] - 1, caps.shape[0]))
+    """Lay out a ``(draws, N)`` capacity array, column 0 the own capacity.
+
+    Draws with C_i >= max_j C_j are never in the event and are dropped;
+    the rest are sorted by max(C_i, sum_j C_j / N).  The key is lowered by
+    4N ulps of the rival maximum, which bounds the rounding of both the
+    key and the event predicate: every kept draw's largest capacity is
+    its rival maximum, so the margin is positive even where C_i = 0.
+    """
+    draws, n = caps.shape
+    own, *rival_caps = caps.T  # column by column: numpy reduces a short row slowly
+    rival_max = np.full(draws, -np.inf)
+    total = own.copy()
+    for col in rival_caps:
+        np.maximum(rival_max, col, out=rival_max)
+        total += col
+    live = np.flatnonzero(own < rival_max)
+    rival_max = rival_max[live]
+    start = np.maximum(own[live], total[live] / n)
+    start -= 4 * n * np.finfo(float).eps * rival_max
+    order = np.argsort(start)
+    live, start, rival_max = live[order], start[order], rival_max[order]
+    del total, order  # the rival rows are the memory peak: hold no spare row there
+    rivals = np.empty((n - 1, len(live)))
     for j, row in enumerate(rivals, start=1):
-        np.take(caps[:, j], order, out=row)
-    return _CoverageDraws(
-        caps[order, 0], rivals, rivals.sum(axis=0), rivals.max(axis=0, initial=-np.inf)
-    )
+        np.take(caps[:, j], live, out=row)
+    return _CoverageDraws(draws, start, own[live], rival_max, rivals)
 
 
 def partial_coverage_samples(
@@ -137,26 +169,28 @@ def partial_coverage_samples(
 
     ``caps`` is a raw ``(draws, N)`` capacity array (column 0 the own
     capacity) or the layout a solve prepares once; without it the draws
-    are sampled.  Entries come in ascending order of the own capacity,
-    not in draw order.  The event needs C_i <= x, so only that prefix of
-    the draws is reduced; the entries past it are 0.
+    are sampled.  Entries come in the layout's order, not in draw order.
+    Only the draws whose event interval has opened at ``x`` and that have
+    a rival surplus are reduced; every other entry is 0.
     """
+    if not math.isfinite(x):
+        raise ValidationError(f"offer must be finite, got {x}")
     if caps is None:
         caps = sample(scenario.capacity, scenario.n_prosumers, seed, draws)
     if not isinstance(caps, _CoverageDraws):
         caps = _coverage_layout(caps)
-    k = int(np.searchsorted(caps.own, x, "right"))
-    own = caps.own[:k]
-    s_plus = np.zeros(k)
-    short = np.empty(k)
+    idx = np.flatnonzero(caps.rival_max[:caps.opened(x)] > x)
+    own = caps.own[idx]
+    s = np.zeros(len(idx))
+    s_plus = np.zeros(len(idx))
     for row in caps.rivals:
-        np.subtract(x, row[:k], out=short)
+        short = x - row[idx]
+        s += short
         s_plus += np.maximum(short, 0.0, out=short)
-    s = len(caps.rivals) * x - caps.rival_sum[:k]
-    event = (caps.rival_max[:k] > x) & (own <= x + np.minimum(s, 0.0))
+    event = (s < s_plus) & (own <= x + np.minimum(s, 0.0))
     denom = np.where(event, s_plus + x - own, 1.0)
-    out = np.zeros(len(caps.own))
-    out[:k] = np.where(event, 1.0 + s_plus * (s - s_plus) / denom**2, 0.0)
+    out = np.zeros(caps.draws)
+    out[idx] = np.where(event, 1.0 + s_plus * (s - s_plus) / denom**2, 0.0)
     return out
 
 
@@ -331,6 +365,8 @@ class _InverseResponse:
     def forward(self, rho: float, tol: float) -> float:
         """The offer x at which rho(x) = rho: 0 at or below rho_min, cbar at or above rho_max."""
         _check_tol(tol)
+        if not math.isfinite(rho):
+            raise ValidationError(f"price must be finite, got {rho}")
         rho_min, rho_max = self.bounds
         cbar = self.scenario.capacity.cbar
         if rho <= rho_min:

@@ -144,22 +144,28 @@ def test_coverage_term_matches_exact_two_prosumer_formula(iid2_scenario):
         assert coverage_by_quadrature(sc, x, m=2001) == pytest.approx(exact, abs=2e-4)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_coverage_kernel_matches_reference_formula(n):
+def _coverage_setup(n, draws):
     cap = dg.iid_uniform(10.0, 3.3, cbar=18.0)
     sc = dg.GameScenario(n, 30.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
+    return sc, dg.sample(cap, n, 3, draws), _coverage_caps(sc, draws, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_coverage_kernel_matches_reference_formula(n):
     draws = 20_000
-    caps = dg.sample(cap, n, 3, draws)
-    layout = _coverage_caps(sc, draws, 3)
+    sc, caps, layout = _coverage_setup(n, draws)
+    cap = sc.capacity
     lo, hi = cap.support
     drawn_own = float(caps[draws // 2, 0])
-    for x in (0.0, lo, drawn_own, cap.mu, hi, cap.cbar):
+    drawn_mean = float(caps[draws // 3].sum() / n)
+    for x in (0.0, lo, drawn_own, drawn_mean, cap.mu, hi, cap.cbar):
         ref = coverage_reference(caps, x)
         for got in (partial_coverage_samples(sc, x, draws, 3, caps=caps),
                     partial_coverage_samples(sc, x, draws, 3, caps=layout),
                     partial_coverage_samples(sc, x, draws, 3)):
             assert got.shape == (draws,)
-            assert np.max(np.abs(np.sort(got) - np.sort(ref))) <= 1e-12
+            # the kernel adds the rival terms in the reference's order: equal bit for bit
+            assert np.array_equal(np.sort(got), np.sort(ref))
             assert abs(got.mean() - ref.mean()) <= 1e-14
     # the offers above include draws where every rival is short: no rival
     # surplus, so no coverage, whatever C_i is
@@ -167,6 +173,39 @@ def test_coverage_kernel_matches_reference_formula(n):
         all_short = np.all(caps[:, 1:] <= x, axis=1)
         assert all_short.sum() > 0
         assert np.all(coverage_reference(caps, x)[all_short] == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_coverage_layout_orders_the_draws_whose_event_can_fire(n):
+    draws = 2000
+    sc, caps, layout = _coverage_setup(n, draws)
+    kept = np.column_stack([layout.own, *layout.rivals])  # in layout order
+    can_fire = caps[:, 0] < caps[:, 1:].max(axis=1)
+    live, dropped = caps[can_fire], caps[~can_fire]
+    assert layout.draws == draws
+    assert np.array_equal(kept[np.lexsort(kept.T)], live[np.lexsort(live.T)])
+    assert np.all(np.diff(layout.start) >= 0.0)
+    opens = np.maximum(kept[:, 0], kept.sum(axis=1) / n)
+    # offers at and a few ulps below where the events of some draws open,
+    # where the event predicate and the key round differently
+    binding = np.flatnonzero(opens > kept[:, 0])[:100]
+    edges = [x0 - k * math.ulp(x0) for x0 in opens[binding].tolist() for k in range(4)]
+    lo, hi = sc.capacity.support
+    for x in (0.0, lo, float(kept[0, 0]), sc.capacity.mu, hi, *edges):
+        k = layout.opened(x)
+        ref = coverage_reference(kept, x)
+        assert np.all(ref[k:] == 0.0), "a draw in the event lies past the reduced prefix"
+        assert np.all(coverage_reference(dropped, x) == 0.0)
+        assert np.all(opens[:k] <= x + 1e-12), "the prefix holds a draw whose event opens later"
+        assert np.all(opens[k:] > x - 1e-12)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_coverage_kernel_rejects_a_non_finite_offer(x):
+    sc, caps, layout = _coverage_setup(4, 1000)
+    for given in (caps, layout, None):
+        with pytest.raises(dg.ValidationError, match="offer must be finite"):
+            partial_coverage_samples(sc, x, 1000, 3, caps=given)
 
 
 def test_coverage_memory_bounded_in_n_and_draws():
@@ -535,6 +574,17 @@ def test_meanfield_solve_inverts_explicit_inverse_response():
 def test_solvers_reject_non_finite_or_nonpositive_tolerance(solve, tol):
     with pytest.raises(dg.ValidationError, match="tolerance must be positive and finite"):
         solve(make_scenario(kind="iid", n=4), tol)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solve", [
+    lambda sc, rho: dg.symmetric_follower_response(
+        dg.FollowerFixedPointSpec(sc, rho, draws=2000)),
+    lambda sc, rho: dg.meanfield_solve(sc, rho),
+], ids=["follower_response", "meanfield_solve"])
+def test_forward_responses_reject_a_non_finite_price(solve, rho):
+    with pytest.raises(dg.ValidationError, match="price must be finite"):
+        solve(make_scenario(kind="iid", n=4), rho)
 
 
 def test_integral_float_prosumer_count_is_stored_as_int():
