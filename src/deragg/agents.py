@@ -214,8 +214,6 @@ class SolverDiagnostics:
     follower_residual: float
     concavity_ok: bool
     multiple_maxima: bool
-    seed: int
-    draws: int
     notes: tuple[str, ...] = ()
 
 

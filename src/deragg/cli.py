@@ -16,13 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .agents import GameScenario, linear_utility
-from .capacity import SQRT3, check_seed, dependent_uniform
+from .capacity import SQRT3, check_seed
 from .closedform import (
     UniformLinearParams,
     closed_form_equilibrium,
     inverse_supply_aggregated,
     inverse_supply_direct,
+    procurement_costs,
 )
 from .equilibrium import meanfield_stackelberg, stackelberg_solve
 from .errors import (
@@ -36,7 +36,6 @@ from .market import (
     MODE_DIRECT,
     MODE_NODER,
     DispatchProblem,
-    GeneratorSpec,
     build_supply_curve_aggregated,
     build_supply_curve_direct,
     clear_market,
@@ -61,7 +60,6 @@ FIG_SIGMA = 3.3
 FIG_LAMBDA_DA = 4.0
 FIG_LAMBDA_RT = 4.0
 FIG_KAPPA = 3.25
-FIG_GENERATOR = GeneratorSpec(kappa=FIG_KAPPA)
 FIG_DEMAND_PER_PROSUMER = 10.0
 FIG_SIGMA_SWEEP = (3.30, 5.77, 26)
 FIG_MU_SWEEP = (6.0, 10.0, 21)
@@ -121,7 +119,7 @@ def _resolve_seed(args, sf: ScenarioFile | None = None) -> int:
         except ValueError as exc:
             raise ValidationError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
         return check_seed(seed)
-    return sf.solver.seed if sf is not None else 0
+    return (sf.solver if sf is not None else SolverSettings()).seed
 
 
 def _resolve_draws(args, sf: ScenarioFile | None = None) -> int:
@@ -326,18 +324,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if n_failed == 0 else EXIT_SOLVER
 
 
-def _figure_scenario(mu: float, sigma: float) -> GameScenario:
-    cap = dependent_uniform(mu, sigma)
-    return GameScenario(
-        n_prosumers=1,
-        d0=cap.cbar + 1.0,
-        capacity=cap,
-        utility=linear_utility(FIG_GAMMA),
-        lambda_da=FIG_LAMBDA_DA,
-        lambda_rt=FIG_LAMBDA_RT,
-    )
-
-
 def _figure_tables(name: str):
     """(filename, columns, rows) tables for one named reference figure."""
     sig_lo, sig_hi, sig_n = FIG_SIGMA_SWEEP
@@ -376,15 +362,12 @@ def _figure_tables(name: str):
     if name in ("fig5", "fig6-left"):
         rows_cost, rows_clear, rows_poag = [], [], []
         for sigma in sigmas:
-            sc = _figure_scenario(FIG_MU, sigma)
-            rep = price_of_aggregation(sc, (FIG_GENERATOR,), FIG_DEMAND_PER_PROSUMER)
-            rows_cost.append([sigma, rep.cost_noder, rep.cost_aggregated, rep.cost_direct])
-            rows_clear.append([
-                sigma,
-                rep.outcome_aggregated.cleared_der,
-                rep.outcome_direct.cleared_der,
-            ])
-            rows_poag.append([sigma, rep.poag])
+            p = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
+            c = procurement_costs(p, FIG_KAPPA, FIG_DEMAND_PER_PROSUMER)
+            rows_cost.append([sigma, c.cost_noder, c.cost_aggregated, c.cost_direct])
+            # the aggregator clears half of what direct participation clears
+            rows_clear.append([sigma, 0.5 * c.q_star, c.q_star])
+            rows_poag.append([sigma, c.poag])
         if name == "fig5":
             return [
                 ("fig5_costs.csv",
@@ -397,9 +380,9 @@ def _figure_tables(name: str):
         mu_lo, mu_hi, mu_n = FIG_MU_SWEEP
         rows = []
         for mu in np.linspace(mu_lo, mu_hi, mu_n):
-            sc = _figure_scenario(mu, FIG_SIGMA)
-            rep = price_of_aggregation(sc, (FIG_GENERATOR,), FIG_DEMAND_PER_PROSUMER)
-            rows.append([mu, 100.0 * mu / mu_hi, rep.poag])
+            p = UniformLinearParams(FIG_GAMMA, mu, FIG_SIGMA, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
+            poag = procurement_costs(p, FIG_KAPPA, FIG_DEMAND_PER_PROSUMER).poag
+            rows.append([mu, 100.0 * mu / mu_hi, poag])
         return [("fig6_right_poag_vs_integration.csv",
                  ["mu", "integration_pct", "poag"], rows)]
     raise ValidationError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
@@ -421,10 +404,13 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
+def _add_common(sub, out_dir=False):
     sub.add_argument("--seed", type=int, default=None, help="seed override (also DERAGG_SEED)")
     sub.add_argument("--draws", type=int, default=None, help="Monte-Carlo draws override")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    if out_dir:  # the command writes several files
+        sub.add_argument("--out", required=True, help="output directory")
+    else:
+        sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="emit plot-ready CSV for a named reference figure")
     p.add_argument("name", choices=FIGURE_NAMES)
-    _add_common(p)
+    _add_common(p, out_dir=True)
     p.set_defaults(fn=cmd_figures)
     return parser
 

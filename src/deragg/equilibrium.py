@@ -157,7 +157,7 @@ def partial_coverage_samples(
     x: float,
     draws: int,
     seed: int,
-    caps: np.ndarray | _CoverageDraws | None = None,
+    caps: _CoverageDraws | None = None,
 ) -> np.ndarray:
     """Per-draw integrand of the finite-N coverage correction at symmetric offers.
 
@@ -167,18 +167,16 @@ def partial_coverage_samples(
     signed and positive-part rival shortfall sums.  The weight lies in
     [0, 1]; the mean over draws estimates the correction.
 
-    ``caps`` is a raw ``(draws, N)`` capacity array (column 0 the own
-    capacity) or the layout a solve prepares once; without it the draws
-    are sampled.  Entries come in the layout's order, not in draw order.
-    Only the draws whose event interval has opened at ``x`` and that have
-    a rival surplus are reduced; every other entry is 0.
+    ``caps`` is the layout of the ``draws`` capacity draws that a solve
+    prepares once (:func:`_coverage_layout`); without it they are sampled
+    from ``seed`` and laid out here.  Entries come in the layout's order,
+    not in draw order.  Only the draws whose event interval has opened at
+    ``x`` and that have a rival surplus are reduced; every other entry is 0.
     """
     if not math.isfinite(x):
         raise ValidationError(f"offer must be finite, got {x}")
     if caps is None:
-        caps = sample(scenario.capacity, scenario.n_prosumers, seed, draws)
-    if not isinstance(caps, _CoverageDraws):
-        caps = _coverage_layout(caps)
+        caps = _coverage_layout(sample(scenario.capacity, scenario.n_prosumers, seed, draws))
     idx = np.flatnonzero(caps.rival_max[:caps.opened(x)] > x)
     own = caps.own[idx]
     s = np.zeros(len(idx))
@@ -221,7 +219,7 @@ def follower_foc_gap(
     x: float,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
-    _caps: _InverseResponse | None = None,
+    _inverse: _InverseResponse | None = None,
 ) -> float:
     """Signed gap of the symmetric first-order condition at offer ``x``.
 
@@ -230,16 +228,16 @@ def follower_foc_gap(
     Certain capacity runs short only above cbar, so its gap is
     ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.  ``x`` may be an array of
     offers unless the Monte-Carlo coverage term applies (iid, N >= 2),
-    which takes one offer at a time.  ``_caps`` is the solve's inverse
-    response, which holds the draws it samples once; without it the draws
-    are sampled here.
+    which takes one offer at a time.  Every draw the gap reads, for E[u']
+    and for the coverage term, comes from ``_inverse``, the inverse
+    response of ``scenario`` whose solve samples them once; a call without
+    it builds one from ``draws`` and ``seed``.
     """
+    if _inverse is None and not np.isfinite(x).all():  # a solve's own offers are finite
+        raise ValidationError(f"offer must be finite, got {x}")
+    inverse = _InverseResponse(scenario, draws, seed) if _inverse is None else _inverse
     model = scenario.capacity
-    if _caps is None:
-        emu = expected_marginal_utility(scenario, x, draws=draws, seed=seed)
-    else:
-        emu = _caps.marginal_utility(x)
-    lhs = (rho - emu) / scenario.lambda_rt
+    lhs = (rho - inverse.marginal_utility(x)) / scenario.lambda_rt
     if model.kind == DETERMINISTIC:
         diag_cdf = np.greater(x, model.cbar) * 1.0
     else:
@@ -247,25 +245,12 @@ def follower_foc_gap(
     h = 0.0
     if model.kind == IID_UNIFORM:
         diag_cdf = diag_cdf**scenario.n_prosumers
-        if _has_coverage(scenario):
-            if np.ndim(x):
-                raise ValidationError("the coverage term takes one offer at a time")
-            coverage = None if _caps is None else _caps.caps
-            h = float(partial_coverage_samples(scenario, x, draws, seed, caps=coverage).mean())
+    if inverse.per_offer:
+        if np.ndim(x):
+            raise ValidationError("the coverage term takes one offer at a time")
+        h = float(partial_coverage_samples(scenario, x, draws, seed, caps=inverse.caps).mean())
     gap = lhs - diag_cdf - h
     return gap if np.ndim(gap) else float(gap)
-
-
-def _has_coverage(scenario):
-    """Whether the FOC carries the Monte-Carlo coverage term h (iid, N >= 2)."""
-    return scenario.capacity.kind == IID_UNIFORM and scenario.n_prosumers >= 2
-
-
-def _coverage_caps(scenario, draws, seed):
-    """Capacity draws behind the coverage term, sampled and laid out once per solve (or None)."""
-    if _has_coverage(scenario):
-        return _coverage_layout(sample(scenario.capacity, scenario.n_prosumers, seed, draws))
-    return None
 
 
 def symmetric_follower_response(spec: FollowerFixedPointSpec) -> float:
@@ -286,12 +271,19 @@ class _InverseResponse:
 
     def __init__(self, scenario: GameScenario, draws: int, seed: int):
         self.scenario, self.draws, self.seed = scenario, draws, seed
-        self.bounds = offer_price_bounds(scenario, draws=draws, seed=seed)
         self._memo: dict[float, float] = {}
 
     @cached_property
-    def caps(self) -> _CoverageDraws | None:
-        return _coverage_caps(self.scenario, self.draws, self.seed)
+    def bounds(self) -> tuple[float, float]:
+        """(rho_min, rho_max): :func:`offer_price_bounds` on the solve's draws."""
+        return offer_price_bounds(self.scenario, draws=self.draws, seed=self.seed)
+
+    @cached_property
+    def caps(self) -> _CoverageDraws:
+        """The coverage draws, sampled and laid out once; read only where :attr:`per_offer`."""
+        return _coverage_layout(
+            sample(self.scenario.capacity, self.scenario.n_prosumers, self.seed, self.draws)
+        )
 
     @cached_property
     def emu(self) -> _MarginalUtilityDraws | None:
@@ -306,7 +298,7 @@ class _InverseResponse:
 
     def gap(self, rho: float, x: float) -> float:
         return follower_foc_gap(
-            self.scenario, rho, x, draws=self.draws, seed=self.seed, _caps=self
+            self.scenario, rho, x, draws=self.draws, seed=self.seed, _inverse=self
         )
 
     def _rho(self, x: float) -> float:
@@ -320,8 +312,9 @@ class _InverseResponse:
 
     @property
     def per_offer(self) -> bool:
-        """Whether rho takes one offer at a time: the coverage kernel does."""
-        return _has_coverage(self.scenario)
+        """Whether rho carries the Monte-Carlo coverage term h (iid, N >= 2),
+        whose kernel takes one offer at a time."""
+        return self.scenario.capacity.kind == IID_UNIFORM and self.scenario.n_prosumers >= 2
 
     def table(self, xs) -> np.ndarray:
         """rho at every offer of ``xs``, kept in the memo.
@@ -430,7 +423,7 @@ def _offer_search(inverse, grid_points, tol):
     lambda_da, n = scenario.lambda_da, scenario.n_prosumers
     if lambda_da <= inverse.bounds[0]:
         notes = ("degenerate price interval; followers never offer",)
-        diag = SolverDiagnostics(0, 0, 0.0, True, False, inverse.seed, inverse.draws, notes)
+        diag = SolverDiagnostics(0, 0, 0.0, True, False, notes)
         return 0.0, lambda_da, diag
 
     def profit(x):
@@ -457,10 +450,7 @@ def _offer_search(inverse, grid_points, tol):
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
-    diag = SolverDiagnostics(
-        len(xs), iters, 0.0, concavity_ok, multiple_maxima, inverse.seed, inverse.draws,
-        tuple(notes),
-    )
+    diag = SolverDiagnostics(len(xs), iters, 0.0, concavity_ok, multiple_maxima, tuple(notes))
     return x_star, inverse(x_star), diag
 
 

@@ -407,7 +407,6 @@ class PoAgReport:
     poag: float
     demand: float
     curve_source: str
-    seed: int
     outcome_aggregated: DispatchOutcome
     outcome_direct: DispatchOutcome
     outcome_noder: DispatchOutcome
@@ -496,7 +495,6 @@ def price_of_aggregation(
         poag=poag,
         demand=demand,
         curve_source=curve_source,
-        seed=seed,
         outcome_aggregated=out_agg,
         outcome_direct=out_dir,
         outcome_noder=out_noder,

@@ -22,9 +22,10 @@ from .capacity import (
     deterministic,
     iid_uniform,
 )
-from .equilibrium import DEFAULT_GRID_POINTS
+from .equilibrium import DEFAULT_GRID_POINTS, DEFAULT_TOL_X
 from .errors import ValidationError
 from .market import GeneratorSpec
+from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 SCHEMA_VERSION = "1"
 
@@ -41,9 +42,9 @@ SWEEPABLE = (
 
 @dataclass(frozen=True)
 class SolverSettings:
-    draws: int = 100_000
-    seed: int = 0
-    tol_x: float = 1e-8
+    draws: int = DEFAULT_DRAWS
+    seed: int = DEFAULT_SEED
+    tol_x: float = DEFAULT_TOL_X
     rho_grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):

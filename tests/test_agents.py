@@ -156,7 +156,7 @@ def test_nominal_demand_only_shifts_payoff():
 
 
 def test_equilibrium_result_invariants():
-    diag = dg.SolverDiagnostics(8, 0, 0.0, True, False, 0, 1)
+    diag = dg.SolverDiagnostics(8, 0, 0.0, True, False)
     with pytest.raises(dg.ValidationError):
         dg.EquilibriumResult(2.0, 99.0, 99.0, 0.0, 1, 10.0, 4.0, diag)
     with pytest.raises(dg.ValidationError):

@@ -8,7 +8,7 @@ import pytest
 
 import deragg as dg
 from deragg.equilibrium import (
-    _coverage_caps,
+    _coverage_layout,
     _InverseResponse,
     _MeanFieldInverse,
     partial_coverage_samples,
@@ -111,6 +111,13 @@ def test_foc_gap_takes_an_offer_array_unless_the_coverage_term_applies():
         dg.follower_foc_gap(make_scenario(kind="iid", n=2), 3.0, xs, draws=MIN_DRAWS)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_foc_gap_rejects_a_non_finite_offer(x):
+    for sc in (make_scenario(), _tabulated_scenario(), make_scenario(kind="iid", n=2)):
+        with pytest.raises(dg.ValidationError, match="offer must be finite"):
+            dg.follower_foc_gap(sc, 3.0, x, draws=MIN_DRAWS)
+
+
 def test_coverage_term_zero_cases(iid2_scenario):
     dep = make_scenario(n=2)
     assert dg.partial_coverage_term(dep, 10.0, draws=10_000, seed=1) == 0.0
@@ -135,10 +142,10 @@ def test_coverage_term_matches_exact_two_prosumer_formula(iid2_scenario):
     mu = sc.capacity.mu
     assert coverage_n2(sc, mu) == pytest.approx(0.125, abs=1e-15)
     assert coverage_n2(sc, mu + 1e-9) == pytest.approx(0.125, abs=1e-9)
-    caps = dg.sample(sc.capacity, 2, 11, 1_000_000)
+    layout = _coverage_layout(dg.sample(sc.capacity, 2, 11, 1_000_000))
     for x in (5.0, 7.0, 9.5, 10.0, 12.0, 15.0):
         exact = coverage_n2(sc, x)
-        vals = partial_coverage_samples(sc, x, 1_000_000, 11, caps=caps)
+        vals = partial_coverage_samples(sc, x, 1_000_000, 11, caps=layout)
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 3.0 * se
         assert coverage_by_quadrature(sc, x, m=2001) == pytest.approx(exact, abs=2e-4)
@@ -147,7 +154,8 @@ def test_coverage_term_matches_exact_two_prosumer_formula(iid2_scenario):
 def _coverage_setup(n, draws):
     cap = dg.iid_uniform(10.0, 3.3, cbar=18.0)
     sc = dg.GameScenario(n, 30.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
-    return sc, dg.sample(cap, n, 3, draws), _coverage_caps(sc, draws, 3)
+    caps = dg.sample(cap, n, 3, draws)
+    return sc, caps, _coverage_layout(caps)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -160,8 +168,7 @@ def test_coverage_kernel_matches_reference_formula(n):
     drawn_mean = float(caps[draws // 3].sum() / n)
     for x in (0.0, lo, drawn_own, drawn_mean, cap.mu, hi, cap.cbar):
         ref = coverage_reference(caps, x)
-        for got in (partial_coverage_samples(sc, x, draws, 3, caps=caps),
-                    partial_coverage_samples(sc, x, draws, 3, caps=layout),
+        for got in (partial_coverage_samples(sc, x, draws, 3, caps=layout),
                     partial_coverage_samples(sc, x, draws, 3)):
             assert got.shape == (draws,)
             # the kernel adds the rival terms in the reference's order: equal bit for bit
@@ -202,8 +209,8 @@ def test_coverage_layout_orders_the_draws_whose_event_can_fire(n):
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_coverage_kernel_rejects_a_non_finite_offer(x):
-    sc, caps, layout = _coverage_setup(4, 1000)
-    for given in (caps, layout, None):
+    sc, _, layout = _coverage_setup(4, 1000)
+    for given in (layout, None):
         with pytest.raises(dg.ValidationError, match="offer must be finite"):
             partial_coverage_samples(sc, x, 1000, 3, caps=given)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import deragg as dg
+from deragg.cli import FIG_MU_SWEEP, FIG_SIGMA_SWEEP
 from deragg.equilibrium import DEFAULT_GRID_POINTS
 from deragg.market import _BALANCE_RTOL, MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
 from deragg.scenario import parse_scenario
@@ -278,16 +279,26 @@ def test_cost_monotone_in_demand():
 
 
 def test_poag_report_fig5(fig3_scenario):
-    rep = dg.price_of_aggregation(fig3_scenario, (dg.GeneratorSpec(kappa=3.25),), 10.0)
+    gens = (dg.GeneratorSpec(kappa=3.25),)
+    rep = dg.price_of_aggregation(fig3_scenario, gens, 10.0)
     assert rep.curve_source == "closedform"
     assert rep.poag == pytest.approx(1.143, abs=2e-3)
     assert rep.cost_noder >= rep.cost_aggregated >= rep.cost_direct
-    assert rep.outcome_aggregated.cleared_der == pytest.approx(
-        0.5 * rep.outcome_direct.cleared_der, rel=1e-9
-    )
-    cf = dg.procurement_costs(fig5_params(), 3.25, 10.0)
-    assert rep.cost_aggregated == pytest.approx(cf.cost_aggregated, rel=1e-12)
-    assert rep.cost_direct == pytest.approx(cf.cost_direct, rel=1e-12)
+    # at every grid point of figs 5 and 6, clearing the closed-form curves
+    # gives the closed-form costs that the figures print
+    grid = [(10.0, sigma) for sigma in np.linspace(*FIG_SIGMA_SWEEP).tolist()]
+    grid += [(mu, 3.3) for mu in np.linspace(*FIG_MU_SWEEP).tolist()]
+    assert len(grid) == 47
+    for mu, sigma in grid:
+        rep = dg.price_of_aggregation(make_scenario(mu=mu, sigma=sigma), gens, 10.0)
+        cf = dg.procurement_costs(dg.UniformLinearParams(2.5, mu, sigma, 4.0, 4.0), 3.25, 10.0)
+        for got, exact in (
+            (rep.cost_aggregated, cf.cost_aggregated), (rep.cost_direct, cf.cost_direct),
+            (rep.cost_noder, cf.cost_noder), (rep.poag, cf.poag),
+            (rep.outcome_aggregated.cleared_der, 0.5 * cf.q_star),
+            (rep.outcome_direct.cleared_der, cf.q_star),
+        ):
+            assert got == pytest.approx(exact, rel=1e-12)
 
 
 def test_poag_is_one_when_der_not_competitive(fig3_scenario):

@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +292,39 @@ def test_cli_figures_fig5_ordering(tmp_path):
         agg = float(row["cost_aggregated"])
         direct = float(row["cost_direct"])
         assert no_der >= agg >= direct
+
+
+def test_cli_figures_needs_an_output_directory():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-m", "deragg", "figures", "fig3", "--seed", "3"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "the following arguments are required: --out" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_smoke_every_subcommand(tmp_path, capsys):
+    # every subcommand of the parser, with a value for each argument it requires
+    parser = cli.build_parser()
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    values = {"file": str(SCENARIOS / "base.json"), "out": str(tmp_path)}
+    for name, sub in subcommands.items():
+        argv = [name, "--seed", "3"]
+        for action in sub._actions:
+            if action.required:
+                value = action.choices[0] if action.choices else values[action.dest]
+                argv += [*action.option_strings[:1], value]
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figures", "fig3", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_cli_figures_fig3_slope(tmp_path):
