@@ -24,7 +24,7 @@ print(f"price cap    rho_max = {rho_max}   (floor + real-time price)")
 
 print("\nrho   ->  x*(rho)")
 for rho in np.linspace(2.0, 7.0, 11):
-    x = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, float(rho)))
+    x = dg.symmetric_follower_response(sc, float(rho))
     print(f"{rho:4.1f}  ->  {x:8.4f}")
 
 # The first-order-condition gap is the quantity the solver drives to zero:
@@ -35,4 +35,4 @@ for x in (4.0, 5.0, 5.7132, 7.0, 10.0):
     g = dg.follower_foc_gap(sc, rho, x)
     print(f"  x={x:7.4f}   gap={g:+.5f}")
 print("the solver brackets the sign change by bisection; here the root is")
-print("x* =", dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, rho)))
+print("x* =", dg.symmetric_follower_response(sc, rho))

@@ -21,7 +21,7 @@ sc = dg.GameScenario(
 
 print("leader profit along the price grid:")
 for rho in np.linspace(2.5, 4.0, 7):
-    x = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, float(rho)))
+    x = dg.symmetric_follower_response(sc, float(rho))
     print(f"  rho={rho:5.3f}  x*={x:7.4f}  profit={(4.0 - rho) * x:8.4f}")
 
 res = dg.stackelberg_solve(sc)

@@ -38,7 +38,6 @@ from .closedform import (
     sigma_band,
 )
 from .equilibrium import (
-    FollowerFixedPointSpec,
     MeanFieldSolution,
     follower_foc_gap,
     meanfield_solve,

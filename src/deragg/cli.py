@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .capacity import SQRT3, check_seed
+from .capacity import SQRT3
 from .closedform import (
     UniformLinearParams,
     closed_form_equilibrium,
@@ -78,11 +78,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _render_csv(meta: dict, columns, rows) -> str:
+def _render_csv(meta: dict, rows: list[dict]) -> str:
+    """``#`` metadata lines, then the rows, whose keys name the columns."""
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(columns))
+    lines.append(",".join(rows[0]))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -99,47 +100,44 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _meta(sf: ScenarioFile, seed: int, draws: int) -> dict:
-    return {
-        "schema_version": sf.schema_version,
-        "seed": seed,
-        "draws": draws,
-        "tol_x": sf.solver.tol_x,
-        "build": f"deragg-{__version__}",
-    }
+def _settings(args, solver: SolverSettings) -> SolverSettings:
+    """``solver`` with ``--seed`` (else ``DERAGG_SEED``) and ``--draws`` applied.
 
-
-def _resolve_seed(args, sf: ScenarioFile | None = None) -> int:
-    if args.seed is not None:
-        return check_seed(args.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    The seed is applied, and so checked, before the draw count.
+    """
+    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
+    if seed is None and env is not None:
         try:
             seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-        return check_seed(seed)
-    return (sf.solver if sf is not None else SolverSettings()).seed
+    if seed is not None:
+        solver = replace(solver, seed=seed)
+    if args.draws is not None:
+        solver = replace(solver, draws=args.draws)
+    return solver
 
 
-def _resolve_draws(args, sf: ScenarioFile | None = None) -> int:
-    solver = sf.solver if sf is not None else SolverSettings()
-    if args.draws is None:
-        return solver.draws
-    return replace(solver, draws=args.draws).draws
-
-
-def _load(args) -> tuple[ScenarioFile, int, int]:
-    """The command's scenario file, with its seed and draw count after overrides."""
+def _load(args) -> ScenarioFile:
+    """The command's scenario file, its solver settings after the overrides."""
     sf = load_scenario(args.file)
-    return sf, _resolve_seed(args, sf), _resolve_draws(args, sf)
+    return replace(sf, solver=_settings(args, sf.solver))
 
 
-def _solve(sf: ScenarioFile, draws: int, seed: int):
-    """Finite-N equilibrium under the scenario file's solver settings."""
+def _write(args, sf: ScenarioFile, rows: list[dict], **meta) -> None:
+    """The rows as CSV to ``--out``, after the run's metadata and ``meta``."""
     s = sf.solver
-    return stackelberg_solve(sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points,
-                             draws=draws, seed=seed)
+    head = {"schema_version": sf.schema_version, "seed": s.seed, "draws": s.draws,
+            "tol_x": s.tol_x, "build": f"deragg-{__version__}", **meta}
+    _emit(_render_csv(head, rows), args.out)
+
+
+def _solve(sf: ScenarioFile, mean_field: bool = False):
+    """The finite-N or mean-field equilibrium under the scenario file's solver settings."""
+    s = sf.solver
+    leader = meanfield_stackelberg if mean_field else stackelberg_solve
+    return leader(sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points,
+                  draws=s.draws, seed=s.seed)
 
 
 def _penalty_axiom_issues(seed: int, instances: int = 10_000) -> list[str]:
@@ -195,37 +193,31 @@ def _axiom_violations(rng, k: int) -> set[str]:
 
 def cmd_validate(args) -> int:
     # nothing here samples, but a bad draws override is still an error
-    sf, seed, _ = _load(args)
-    issues = _penalty_axiom_issues(seed)
+    sf = _load(args)
+    issues = _penalty_axiom_issues(sf.solver.seed)
     if args.closed_form:
         closed_form_params(sf.scenario)  # raises AdmissibilityError off the band
     report = [
         f"scenario: ok ({args.file})",
         f"penalty axioms: {'ok' if not issues else '; '.join(issues)}",
     ]
-    print("\n".join(report))
+    _emit("\n".join(report) + "\n", args.out)
     return EXIT_OK if not issues else EXIT_INVALID
 
 
 def cmd_equilibrium(args) -> int:
-    sf, seed, draws = _load(args)
+    sf = _load(args)
     if args.mean_field:
-        res, sol = meanfield_stackelberg(
-            sf.scenario, tol_x=sf.solver.tol_x, grid_points=sf.solver.rho_grid_points
-        )
-        columns = ["rho_star", "x_star", "aggregate_x", "leader_profit", "beta", "residual"]
-        rows = [[res.rho_star, res.x_star, res.aggregate_x, res.leader_profit,
-                 sol.beta, sol.residual]]
+        res, sol = _solve(sf, mean_field=True)
+        extra = {"beta": sol.beta, "residual": sol.residual}
     else:
-        res = _solve(sf, draws, seed)
+        res = _solve(sf)
         d = res.diagnostics
-        columns = [
-            "rho_star", "x_star", "aggregate_x", "leader_profit",
-            "follower_residual", "concavity_ok", "multiple_maxima",
-        ]
-        rows = [[res.rho_star, res.x_star, res.aggregate_x, res.leader_profit,
-                 d.follower_residual, d.concavity_ok, d.multiple_maxima]]
-    _emit(_render_csv(_meta(sf, seed, draws), columns, rows), args.out)
+        extra = {"follower_residual": d.follower_residual, "concavity_ok": d.concavity_ok,
+                 "multiple_maxima": d.multiple_maxima}
+    _write(args, sf, [{"rho_star": res.rho_star, "x_star": res.x_star,
+                       "aggregate_x": res.aggregate_x, "leader_profit": res.leader_profit,
+                       **extra}])
     print(
         f"rho_star={res.rho_star:.6g} x_star={res.x_star:.6g} profit={res.leader_profit:.6g}",
         file=sys.stderr,
@@ -234,54 +226,56 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_supply_curve(args) -> int:
-    sf, seed, draws = _load(args)
-    if args.mode == "agg":
-        curve = build_supply_curve_aggregated(sf.scenario, draws=draws, seed=seed)
-    else:
-        curve = build_supply_curve_direct(sf.scenario, draws=draws, seed=seed)
-    rows = [[q, p] for q, p in curve.breakpoints]
-    _emit(_render_csv(_meta(sf, seed, draws), ["quantity", "price"], rows), args.out)
+    sf = _load(args)
+    build = build_supply_curve_aggregated if args.mode == "agg" else build_supply_curve_direct
+    curve = build(sf.scenario, draws=sf.solver.draws, seed=sf.solver.seed)
+    _write(args, sf, [{"quantity": q, "price": p} for q, p in curve.breakpoints])
     return EXIT_OK
 
 
 def cmd_dispatch(args) -> int:
-    sf, seed, draws = _load(args)
+    sf = _load(args)
     demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
     mode = {"agg": MODE_AGGREGATED, "direct": MODE_DIRECT, "noder": MODE_NODER}[args.mode]
     curve = None
     if mode != MODE_NODER:
-        agg, direct, _ = der_curves(sf.scenario, args.curve_source, draws, seed)
+        agg, direct, _ = der_curves(sf.scenario, args.curve_source, sf.solver.draws,
+                                    sf.solver.seed)
         curve = agg if mode == MODE_AGGREGATED else direct
     outcome = clear_market(DispatchProblem(sf.generators, demand, curve, mode))
-    columns = ["mode", "clearing_price", "cleared_der", "cleared_generation", "total_cost"]
-    rows = [[mode, outcome.clearing_price, outcome.cleared_der,
-             sum(outcome.cleared_generator), outcome.total_cost]]
-    meta = _meta(sf, seed, draws)
-    meta["tie_rule"] = outcome.tie_rule
-    _emit(_render_csv(meta, columns, rows), args.out)
+    _write(args, sf, [{
+        "mode": mode, "clearing_price": outcome.clearing_price,
+        "cleared_der": outcome.cleared_der,
+        "cleared_generation": sum(outcome.cleared_generator),
+        "total_cost": outcome.total_cost,
+    }], tie_rule=outcome.tie_rule)
     return EXIT_OK
 
 
-def cmd_poag(args) -> int:
-    sf, seed, draws = _load(args)
-    report = price_of_aggregation(
+def _poag(sf: ScenarioFile, curve_source: str):
+    """The PoAg report of the scenario file and its six shared CSV columns."""
+    rep = price_of_aggregation(
         sf.scenario, sf.generators, sf.demand_per_prosumer,
-        curve_source=args.curve_source, draws=draws, seed=seed,
+        curve_source=curve_source, draws=sf.solver.draws, seed=sf.solver.seed,
     )
-    columns = [
-        "cost_aggregated", "cost_direct", "cost_noder", "poag",
-        "cleared_der_aggregated", "cleared_der_direct", "demand", "curve_source",
-    ]
-    rows = [[
-        report.cost_aggregated, report.cost_direct, report.cost_noder, report.poag,
-        report.outcome_aggregated.cleared_der, report.outcome_direct.cleared_der,
-        report.demand, report.curve_source,
-    ]]
-    _emit(_render_csv(_meta(sf, seed, draws), columns, rows), args.out)
+    return rep, {
+        "cost_aggregated": rep.cost_aggregated, "cost_direct": rep.cost_direct,
+        "cost_noder": rep.cost_noder, "poag": rep.poag,
+        "cleared_der_aggregated": rep.outcome_aggregated.cleared_der,
+        "cleared_der_direct": rep.outcome_direct.cleared_der,
+    }
+
+
+def cmd_poag(args) -> int:
+    sf = _load(args)
+    report, columns = _poag(sf, args.curve_source)
+    _write(args, sf, [{**columns, "demand": report.demand,
+                       "curve_source": report.curve_source}])
     print(f"poag={report.poag:.6g}", file=sys.stderr)
     return EXIT_OK
 
 
+# the columns of an ok sweep row, which a failed point's row leaves empty
 _SWEEP_COLUMNS = [
     "value", "rho_star", "x_star", "aggregate_x",
     "cost_aggregated", "cost_direct", "cost_noder", "poag",
@@ -290,42 +284,37 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(sf: ScenarioFile, parameter: str, value: float, draws: int, seed: int):
+def _sweep_point(sf: ScenarioFile, parameter: str, value: float) -> dict:
     try:
         point = apply_sweep_value(sf, parameter, value)
-        res = _solve(point, draws, seed)
-        rep = price_of_aggregation(
-            point.scenario, point.generators, point.demand_per_prosumer,
-            draws=draws, seed=seed,
-        )
+        res = _solve(point)
+        _, poag_columns = _poag(point, "auto")
         d = res.diagnostics
-        return [
-            value, res.rho_star, res.x_star, res.aggregate_x,
-            rep.cost_aggregated, rep.cost_direct, rep.cost_noder, rep.poag,
-            rep.outcome_aggregated.cleared_der, rep.outcome_direct.cleared_der,
-            d.concavity_ok, d.multiple_maxima, "ok",
-        ]
+        return {
+            "value": value, "rho_star": res.rho_star, "x_star": res.x_star,
+            "aggregate_x": res.aggregate_x, **poag_columns,
+            "concavity_ok": d.concavity_ok, "multiple_maxima": d.multiple_maxima,
+            "status": "ok",
+        }
     except (ValidationError, AdmissibilityError, SolverError, MarketInfeasibleError) as exc:
         reason = str(exc).replace(",", ";").replace("\n", " ")
-        return [value] + [None] * (len(_SWEEP_COLUMNS) - 2) + [f"failed: {reason}"]
+        return {**dict.fromkeys(_SWEEP_COLUMNS), "value": value, "status": f"failed: {reason}"}
 
 
 def cmd_sweep(args) -> int:
-    sf, seed, draws = _load(args)
+    sf = _load(args)
     if sf.sweep is None:
         raise ValidationError(f"{args.file} has no sweep block")
     values = np.linspace(sf.sweep.start, sf.sweep.stop, sf.sweep.steps)
-    rows = [_sweep_point(sf, sf.sweep.parameter, float(v), draws, seed) for v in values]
-    meta = _meta(sf, seed, draws)
-    meta["sweep_parameter"] = sf.sweep.parameter
-    _emit(_render_csv(meta, _SWEEP_COLUMNS, rows), args.out)
-    n_failed = sum(1 for r in rows if r[-1] != "ok")
+    rows = [_sweep_point(sf, sf.sweep.parameter, float(v)) for v in values]
+    _write(args, sf, rows, sweep_parameter=sf.sweep.parameter)
+    n_failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} points, {n_failed} failed", file=sys.stderr)
     return EXIT_OK if n_failed == 0 else EXIT_SOLVER
 
 
 def _figure_tables(name: str):
-    """(filename, columns, rows) tables for one named reference figure."""
+    """(filename, rows) tables for one named reference figure."""
     sig_lo, sig_hi, sig_n = FIG_SIGMA_SWEEP
     sigmas = np.linspace(sig_lo, sig_hi, sig_n)
     if name == "fig3":
@@ -334,70 +323,65 @@ def _figure_tables(name: str):
             p = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
             rho_star, curve = closed_form_equilibrium(p)
             for rho in np.linspace(FIG_GAMMA, FIG_GAMMA + FIG_LAMBDA_RT, 51):
-                rows_curve.append([sigma, rho, curve(rho)])
-            rows_eq.append([sigma, rho_star, curve(rho_star)])
-        return [
-            ("fig3_offer_curves.csv", ["sigma", "rho", "x_star"], rows_curve),
-            ("fig3_equilibrium.csv", ["sigma", "rho_star", "x_star"], rows_eq),
-        ]
+                rows_curve.append({"sigma": sigma, "rho": rho, "x_star": curve(rho)})
+            rows_eq.append({"sigma": sigma, "rho_star": rho_star, "x_star": curve(rho_star)})
+        return [("fig3_offer_curves.csv", rows_curve), ("fig3_equilibrium.csv", rows_eq)]
     if name == "fig4":
         p = UniformLinearParams(FIG_GAMMA, FIG_MU, FIG_SIGMA, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
         hi = FIG_MU + SQRT3 * FIG_SIGMA
-        rows_agg = [[q, inverse_supply_aggregated(p, q)] for q in np.linspace(0.0, hi / 2.0, 41)]
-        rows_dir = [[q, inverse_supply_direct(p, q)] for q in np.linspace(0.0, hi, 41)]
+        rows_agg = [{"quantity": q, "price": inverse_supply_aggregated(p, q)}
+                    for q in np.linspace(0.0, hi / 2.0, 41)]
+        rows_dir = [{"quantity": q, "price": inverse_supply_direct(p, q)}
+                    for q in np.linspace(0.0, hi, 41)]
         rows_sigma = []
         for sigma in sigmas:
             ps = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
-            rows_sigma.append([
-                sigma,
-                inverse_supply_aggregated(ps, FIG4_FIXED_QUANTITY),
-                inverse_supply_direct(ps, FIG4_FIXED_QUANTITY),
-            ])
+            rows_sigma.append({
+                "sigma": sigma,
+                "price_aggregated": inverse_supply_aggregated(ps, FIG4_FIXED_QUANTITY),
+                "price_direct": inverse_supply_direct(ps, FIG4_FIXED_QUANTITY),
+            })
         return [
-            ("fig4_offer_aggregated.csv", ["quantity", "price"], rows_agg),
-            ("fig4_offer_direct.csv", ["quantity", "price"], rows_dir),
-            ("fig4_price_vs_sigma.csv",
-             ["sigma", "price_aggregated", "price_direct"], rows_sigma),
+            ("fig4_offer_aggregated.csv", rows_agg),
+            ("fig4_offer_direct.csv", rows_dir),
+            ("fig4_price_vs_sigma.csv", rows_sigma),
         ]
     if name in ("fig5", "fig6-left"):
         rows_cost, rows_clear, rows_poag = [], [], []
         for sigma in sigmas:
             p = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
             c = procurement_costs(p, FIG_KAPPA, FIG_DEMAND_PER_PROSUMER)
-            rows_cost.append([sigma, c.cost_noder, c.cost_aggregated, c.cost_direct])
+            rows_cost.append({"sigma": sigma, "cost_noder": c.cost_noder,
+                              "cost_aggregated": c.cost_aggregated,
+                              "cost_direct": c.cost_direct})
             # the aggregator clears half of what direct participation clears
-            rows_clear.append([sigma, 0.5 * c.q_star, c.q_star])
-            rows_poag.append([sigma, c.poag])
+            rows_clear.append({"sigma": sigma, "cleared_aggregated": 0.5 * c.q_star,
+                               "cleared_direct": c.q_star})
+            rows_poag.append({"sigma": sigma, "poag": c.poag})
         if name == "fig5":
-            return [
-                ("fig5_costs.csv",
-                 ["sigma", "cost_noder", "cost_aggregated", "cost_direct"], rows_cost),
-                ("fig5_cleared_der.csv",
-                 ["sigma", "cleared_aggregated", "cleared_direct"], rows_clear),
-            ]
-        return [("fig6_left_poag_vs_sigma.csv", ["sigma", "poag"], rows_poag)]
+            return [("fig5_costs.csv", rows_cost), ("fig5_cleared_der.csv", rows_clear)]
+        return [("fig6_left_poag_vs_sigma.csv", rows_poag)]
     if name == "fig6-right":
         mu_lo, mu_hi, mu_n = FIG_MU_SWEEP
         rows = []
         for mu in np.linspace(mu_lo, mu_hi, mu_n):
             p = UniformLinearParams(FIG_GAMMA, mu, FIG_SIGMA, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
             poag = procurement_costs(p, FIG_KAPPA, FIG_DEMAND_PER_PROSUMER).poag
-            rows.append([mu, 100.0 * mu / mu_hi, poag])
-        return [("fig6_right_poag_vs_integration.csv",
-                 ["mu", "integration_pct", "poag"], rows)]
+            rows.append({"mu": mu, "integration_pct": 100.0 * mu / mu_hi, "poag": poag})
+        return [("fig6_right_poag_vs_integration.csv", rows)]
     raise ValidationError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
 
 
 def cmd_figures(args) -> int:
-    seed = _resolve_seed(args)
-    _resolve_draws(args)  # nothing here samples, but a bad override is still an error
+    # nothing here samples, but a bad draws override is still an error
+    seed = _settings(args, SolverSettings()).seed
     os.makedirs(args.out, exist_ok=True)
     # every figure is a closed form: no solver tolerance or draw count applies
     meta = {"schema_version": "1", "seed": seed, "build": f"deragg-{__version__}"}
     written = []
-    for filename, columns, rows in _figure_tables(args.name):
+    for filename, rows in _figure_tables(args.name):
         path = os.path.join(args.out, filename)
-        _emit(_render_csv(meta, columns, rows), path)
+        _emit(_render_csv(meta, rows), path)
         written.append(path)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)

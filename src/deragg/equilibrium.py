@@ -73,17 +73,6 @@ MAX_BISECT_ITER = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class FollowerFixedPointSpec:
-    """Inputs for one symmetric best-response solve at a fixed price."""
-
-    scenario: GameScenario
-    rho: float
-    tol_x: float = DEFAULT_TOL_X
-    draws: int = DEFAULT_DRAWS
-    seed: int = DEFAULT_SEED
-
-
 def offer_price_bounds(
     scenario: GameScenario, draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED
 ) -> tuple[float, float]:
@@ -253,9 +242,12 @@ def follower_foc_gap(
     return gap if np.ndim(gap) else float(gap)
 
 
-def symmetric_follower_response(spec: FollowerFixedPointSpec) -> float:
+def symmetric_follower_response(
+    scenario: GameScenario, rho: float, tol_x: float = DEFAULT_TOL_X,
+    draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED,
+) -> float:
     """Unique symmetric Nash offer x*(rho), with exact boundary handling."""
-    return _InverseResponse(spec.scenario, spec.draws, spec.seed).forward(spec.rho, spec.tol_x)
+    return _InverseResponse(scenario, draws, seed).forward(rho, tol_x)
 
 
 class _InverseResponse:
@@ -483,10 +475,10 @@ class _MeanFieldInverse(_InverseResponse):
 
     per_offer = False  # no coverage term: beta * F is one numpy expression
 
-    def __init__(self, scenario: GameScenario):
+    def __init__(self, scenario: GameScenario, draws: int, seed: int):
         if scenario.capacity.kind != IID_UNIFORM:
             raise ValidationError("mean-field solve requires iid capacities")
-        super().__init__(scenario, DEFAULT_DRAWS, DEFAULT_SEED)
+        super().__init__(scenario, draws, seed)
 
     def offers(self, n: int) -> list[float]:
         """The finite-N offers plus x = E[C], where the flat piece of rho ends."""
@@ -511,9 +503,10 @@ def meanfield_solve(
     (rho = rho_min) the maximal offer x* = E[C] is returned, matching the
     large-N equilibrium path.  Where the offer cap binds, beta = 1 and the
     cap multiplier carries the gap.  ``_inverse`` is a mean-field inverse
-    response of ``scenario`` that a leader search has already built.
+    response of ``scenario`` that a leader search has already built; a call
+    without it reads E[u'] off the default draws and seed.
     """
-    inverse = _MeanFieldInverse(scenario) if _inverse is None else _inverse
+    inverse = _inverse or _MeanFieldInverse(scenario, DEFAULT_DRAWS, DEFAULT_SEED)
     model = scenario.capacity
     rho_min, rho_max = inverse.bounds
     x = inverse.forward(rho, tol)
@@ -530,15 +523,18 @@ def meanfield_stackelberg(
     scenario: GameScenario,
     tol_x: float = DEFAULT_TOL_X,
     grid_points: int = DEFAULT_GRID_POINTS,
+    draws: int = DEFAULT_DRAWS,
+    seed: int = DEFAULT_SEED,
 ) -> tuple[EquilibriumResult, MeanFieldSolution]:
     """Leader's price against the mean-field response curve.
 
     Same offer-space search as :func:`stackelberg_solve`, with the offer
     x = E[C] (the end of the flat piece of rho) on the hull, so the
-    indifference optimum is found exactly.
+    indifference optimum is found exactly.  ``draws`` and ``seed`` give
+    the Monte-Carlo E[u'] of a tabulated utility; a linear one samples none.
     """
     model = scenario.capacity
-    inverse = _MeanFieldInverse(scenario)
+    inverse = _MeanFieldInverse(scenario, draws, seed)
     _, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
     sol = meanfield_solve(scenario, rho_star, _inverse=inverse)
     n = scenario.n_prosumers

@@ -101,7 +101,7 @@ def test_criterion_3_offer_curve_slope_and_price():
     expected_slope = 2.0 * dg.SQRT3 * 3.3 / 4.0
     rhos = np.linspace(2.75, 6.25, 21)
     xs = np.array([
-        dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, float(r), tol_x=1e-12))
+        dg.symmetric_follower_response(sc, float(r), tol_x=1e-12)
         for r in rhos
     ])
     slope, intercept = np.polyfit(rhos, xs, 1)
@@ -233,9 +233,7 @@ def test_criterion_7_solver_structure():
             cbar = sc3.capacity.cbar
             for rho, want in ((rho_min, 0.0), (rho_min - 1.0, 0.0),
                               (rho_max, cbar), (rho_max + 1.0, cbar)):
-                got = dg.symmetric_follower_response(
-                    dg.FollowerFixedPointSpec(sc3, rho, draws=10_000)
-                )
+                got = dg.symmetric_follower_response(sc3, rho, draws=10_000)
                 if got != want:
                     failures.append(f"boundary {kind} rho={rho:.3f}: {got} != {want}")
     verdict(7, "solver-structure", failures)

@@ -144,8 +144,8 @@ def test_nominal_demand_only_shifts_payoff():
     lo_d0 = make_scenario(d0=17.0)
     hi_d0 = make_scenario(d0=23.0)
     for rho in (2.8, 3.4, 4.0):
-        a = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(lo_d0, rho))
-        b = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(hi_d0, rho))
+        a = dg.symmetric_follower_response(lo_d0, rho)
+        b = dg.symmetric_follower_response(hi_d0, rho)
         assert a == b
     pa = dg.prosumer_payoff(lo_d0, 3.0, 8.0, 8.0, draws=MIN_DRAWS, seed=1)
     pb = dg.prosumer_payoff(hi_d0, 3.0, 8.0, 8.0, draws=MIN_DRAWS, seed=1)

@@ -39,10 +39,10 @@ def test_rho_bounds_linear():
 def test_follower_boundary_cases_exact(fig3_scenario):
     sc = fig3_scenario
     cbar = sc.capacity.cbar
-    assert dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, 2.0)) == 0.0
-    assert dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, 2.5)) == 0.0
-    assert dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, 6.5)) == cbar
-    assert dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, 7.0)) == cbar
+    assert dg.symmetric_follower_response(sc, 2.0) == 0.0
+    assert dg.symmetric_follower_response(sc, 2.5) == 0.0
+    assert dg.symmetric_follower_response(sc, 6.5) == cbar
+    assert dg.symmetric_follower_response(sc, 7.0) == cbar
 
 
 def test_follower_interior_against_bisection_oracle(fig3_scenario):
@@ -62,7 +62,7 @@ def test_follower_interior_against_bisection_oracle(fig3_scenario):
         else:
             b = mid
     oracle = 0.5 * (a + b)
-    got = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, 3.0))
+    got = dg.symmetric_follower_response(sc, 3.0)
     assert got == pytest.approx(5.7131, abs=1e-3)
     assert got == pytest.approx(oracle, abs=1e-7)
 
@@ -70,7 +70,7 @@ def test_follower_interior_against_bisection_oracle(fig3_scenario):
 def test_follower_nondecreasing_in_price(fig3_scenario):
     rhos = np.linspace(2.0, 7.0, 41)
     xs = [
-        dg.symmetric_follower_response(dg.FollowerFixedPointSpec(fig3_scenario, float(r)))
+        dg.symmetric_follower_response(fig3_scenario, float(r))
         for r in rhos
     ]
     assert all(b >= a for a, b in zip(xs, xs[1:]))
@@ -261,9 +261,7 @@ def test_iid_follower_against_quadrature_root(iid2_scenario):
         else:
             b = mid
     oracle = 0.5 * (a + b)
-    got = dg.symmetric_follower_response(
-        dg.FollowerFixedPointSpec(sc, rho, draws=200_000, seed=3)
-    )
+    got = dg.symmetric_follower_response(sc, rho, draws=200_000, seed=3)
     assert got == pytest.approx(oracle, abs=0.05)
 
 
@@ -280,7 +278,7 @@ def test_stackelberg_matches_closed_form(fig3_scenario):
 def test_stackelberg_profit_dominates_grid(fig3_scenario):
     res = dg.stackelberg_solve(fig3_scenario, grid_points=64)
     for rho in np.linspace(2.5, 4.0, 64):
-        x = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(fig3_scenario, float(rho)))
+        x = dg.symmetric_follower_response(fig3_scenario, float(rho))
         assert res.leader_profit >= (4.0 - rho) * x - 1e-9
 
 
@@ -370,8 +368,8 @@ def test_table_matches_the_scalar_inverse_response(case, monkeypatch):
         "tabulated": lambda: _InverseResponse(_tabulated_scenario(), 20_000, 7),
         "deterministic-tabulated": lambda: _InverseResponse(
             _deterministic_tabulated_scenario(), 20_000, 7),
-        "meanfield": lambda: _MeanFieldInverse(iid4),
-        "meanfield-tabulated": lambda: _MeanFieldInverse(iid4_tabulated),
+        "meanfield": lambda: _MeanFieldInverse(iid4, 2000, 7),
+        "meanfield-tabulated": lambda: _MeanFieldInverse(iid4_tabulated, 20_000, 7),
         "iid-n4": lambda: _InverseResponse(iid4, 2000, 7),
     }[case]
     inverse, scalar = build(), build()
@@ -391,7 +389,7 @@ def test_deterministic_tabulated_follower_matches_payoff_argmax():
     sc = _deterministic_tabulated_scenario()
     xs = np.linspace(0.0, 10.0, 101)
     for rho, hand in ((2.0, 0.0), (2.5, 4.0), (2.8, 9.0), (2.825, 9.5), (3.0, 10.0)):
-        got = dg.symmetric_follower_response(dg.FollowerFixedPointSpec(sc, rho))
+        got = dg.symmetric_follower_response(sc, rho)
         assert got == pytest.approx(hand, abs=1e-8)
         payoffs = [dg.prosumer_payoff(sc, rho, float(x), float(x), draws=MIN_DRAWS) for x in xs]
         assert got == pytest.approx(xs[int(np.argmax(payoffs))], abs=1e-8)
@@ -513,9 +511,7 @@ def test_leader_solution_lies_on_forward_response(case):
     draws, seed = 20_000, 7
     res = dg.stackelberg_solve(sc, grid_points=96, draws=draws, seed=seed)
     assert 0.0 < res.x_star < sc.capacity.cbar
-    back = dg.symmetric_follower_response(
-        dg.FollowerFixedPointSpec(sc, res.rho_star, draws=draws, seed=seed)
-    )
+    back = dg.symmetric_follower_response(sc, res.rho_star, draws=draws, seed=seed)
     assert back == pytest.approx(res.x_star, abs=1e-6)
     assert res.diagnostics.follower_residual <= 1e-12
 
@@ -542,8 +538,8 @@ def test_forward_response_inverts_inverse_response(case):
         # certain capacity: rho(x) = u'(d0 + cbar - x) rises on all of [0, cbar]
         lo = 0.0
     for x in np.linspace(lo, hi, 22)[1:-1]:
-        spec = dg.FollowerFixedPointSpec(sc, rho(float(x)), tol_x=tol_x, draws=draws, seed=seed)
-        assert dg.symmetric_follower_response(spec) == pytest.approx(x, abs=tol_x)
+        got = dg.symmetric_follower_response(sc, rho(float(x)), tol_x=tol_x, draws=draws, seed=seed)
+        assert got == pytest.approx(x, abs=tol_x)
 
 
 @pytest.mark.parametrize("leader", [dg.stackelberg_solve, dg.meanfield_stackelberg])
@@ -574,8 +570,7 @@ def test_meanfield_solve_inverts_explicit_inverse_response():
 @pytest.mark.parametrize("solve", [
     lambda sc, tol: dg.stackelberg_solve(sc, tol_x=tol, grid_points=8, draws=2000),
     lambda sc, tol: dg.meanfield_stackelberg(sc, tol_x=tol, grid_points=8),
-    lambda sc, tol: dg.symmetric_follower_response(
-        dg.FollowerFixedPointSpec(sc, 3.0, tol_x=tol, draws=2000)),
+    lambda sc, tol: dg.symmetric_follower_response(sc, 3.0, tol_x=tol, draws=2000),
     lambda sc, tol: dg.meanfield_solve(sc, 3.0, tol=tol),
 ], ids=["stackelberg_solve", "meanfield_stackelberg", "follower_response", "meanfield_solve"])
 def test_solvers_reject_non_finite_or_nonpositive_tolerance(solve, tol):
@@ -585,8 +580,7 @@ def test_solvers_reject_non_finite_or_nonpositive_tolerance(solve, tol):
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("solve", [
-    lambda sc, rho: dg.symmetric_follower_response(
-        dg.FollowerFixedPointSpec(sc, rho, draws=2000)),
+    lambda sc, rho: dg.symmetric_follower_response(sc, rho, draws=2000),
     lambda sc, rho: dg.meanfield_solve(sc, rho),
 ], ids=["follower_response", "meanfield_solve"])
 def test_forward_responses_reject_a_non_finite_price(solve, rho):

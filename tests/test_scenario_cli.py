@@ -12,9 +12,10 @@ import pytest
 import deragg.cli as cli
 from deragg.agents import GameScenario, linear_utility, tabulated_utility
 from deragg.capacity import dependent_uniform, iid_uniform
+from deragg.equilibrium import meanfield_stackelberg
 from deragg.errors import ValidationError
 from deragg.market import GeneratorSpec
-from deragg.scenario import apply_sweep_value, load_scenario, parse_scenario
+from deragg.scenario import SolverSettings, apply_sweep_value, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -213,6 +214,29 @@ def test_cli_equilibrium_row(tmp_path, capsys):
     assert row["concavity_ok"] == "true"
 
 
+def test_cli_mean_field_reads_the_solve_draws_and_seed(tmp_path, capsys):
+    # with a tabulated utility E[u'] is Monte Carlo: the mean field must read
+    # it off the draws and seed that the CSV header names
+    iid = json.loads((SCENARIOS / "iid.json").read_text(encoding="utf-8"))
+    iid["scenario"]["utility"] = {
+        "kind": "tabulated",
+        "marginal_points": [[0.0, 3.4], [12.0, 2.8], [22.0, 2.2], [34.0, 1.9]],
+    }
+    path = write_scenario(tmp_path, iid)
+    outs = []
+    for seed in ("1", "2", "1"):
+        argv = ["equilibrium", path, "--mean-field", "--draws", "5000", "--seed", seed]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2]
+    rho_1, rho_2 = (float(read_table(out)[0]["rho_star"]) for out in outs[:2])
+    assert rho_1 != rho_2
+    sf = load_scenario(path)
+    res, _ = meanfield_stackelberg(sf.scenario, tol_x=sf.solver.tol_x,
+                                   grid_points=sf.solver.rho_grid_points, draws=5000, seed=1)
+    assert read_table(outs[0])[0]["rho_star"] == f"{res.rho_star:.10g}"
+
+
 def test_cli_equilibrium_mean_field(tmp_path, capsys):
     iid = deep(BASE, (("scenario", "capacity", "kind"), "iid_uniform"),
                (("scenario", "n_prosumers"), 4))
@@ -276,7 +300,8 @@ def test_cli_sweep_rows_ordered_and_complete(tmp_path, capsys):
 
 def test_cli_sweep_marks_failed_points(tmp_path, capsys):
     payload = deep(BASE, (("sweep",), {"parameter": "sigma", "from": 3.0, "to": 3.6, "steps": 4}))
-    code = cli.main(["sweep", write_scenario(tmp_path, payload)])
+    with pytest.warns(UserWarning, match="outside the closed-form band"):
+        code = cli.main(["sweep", write_scenario(tmp_path, payload)])
     assert code == cli.EXIT_SOLVER
     rows = read_table(capsys.readouterr().out)
     assert rows[0]["status"].startswith("failed:")
@@ -306,20 +331,26 @@ def test_cli_figures_needs_an_output_directory():
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_smoke_every_subcommand(tmp_path, capsys):
-    # every subcommand of the parser, with a value for each argument it requires
+def every_subcommand(values):
+    """(name, argv) for every subcommand of the parser, with a value for
+    each argument it requires: its first choice, else ``values[dest]``."""
     parser = cli.build_parser()
     subcommands = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
-    values = {"file": str(SCENARIOS / "base.json"), "out": str(tmp_path)}
     for name, sub in subcommands.items():
-        argv = [name, "--seed", "3"]
+        argv = [name]
         for action in sub._actions:
             if action.required:
                 value = action.choices[0] if action.choices else values[action.dest]
                 argv += [*action.option_strings[:1], value]
-        assert cli.main(argv) == cli.EXIT_OK, argv
+        yield name, argv
+
+
+def test_cli_smoke_every_subcommand(tmp_path, capsys):
+    values = {"file": str(SCENARIOS / "base.json"), "out": str(tmp_path)}
+    for _, argv in every_subcommand(values):
+        assert cli.main([*argv, "--seed", "3"]) == cli.EXIT_OK, argv
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(["figures", "fig3", "--seed", "3"])
@@ -347,6 +378,60 @@ def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
     assert "# seed=123" in out
     assert cli.main(["equilibrium", path, "--seed", "9"]) == 0
     assert "# seed=9" in capsys.readouterr().out
+
+
+def test_cli_settings_resolve_alike_in_every_subcommand(tmp_path, monkeypatch, capsys):
+    # base.json sets seed 7 and 100000 draws; --seed beats DERAGG_SEED beats
+    # the scenario, and figures, which read no scenario, fall back to the default
+    figures = tmp_path / "figures"
+    validate_seeds = []
+    monkeypatch.setattr(cli, "_penalty_axiom_issues",
+                        lambda seed: validate_seeds.append(seed) or [])
+
+    def run(argv, env=None):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        return capsys.readouterr().out
+
+    def meta(name, argv, env=None):
+        out = run(argv, env)
+        if name == "validate":
+            return {"seed": str(validate_seeds[-1])}
+        if name == "figures":
+            heads = {tuple(l for l in f.read_text().splitlines() if l.startswith("# "))
+                     for f in figures.iterdir()}
+            assert len(heads) == 1  # one header for every file of the figure
+            out = "\n".join(heads.pop())
+        return dict(l[2:].split("=", 1) for l in out.splitlines() if l.startswith("# "))
+
+    base = str(SCENARIOS / "base.json")
+    for name, argv in every_subcommand({"file": base, "out": str(figures)}):
+        default = str(SolverSettings().seed if name == "figures" else 7)
+        for extra, env, seed, draws in (
+            ([], None, default, "100000"),
+            ([], "123", "123", "100000"),
+            (["--seed", "9"], "123", "9", "100000"),
+            (["--draws", "5000"], None, default, "5000"),
+        ):
+            got = meta(name, [*argv, *extra], env)
+            assert got["seed"] == seed, (argv, extra, env)
+            assert got.get("draws", draws) == draws, (argv, extra)
+            assert name in ("validate", "figures") or "draws" in got
+        if name != "figures":  # --out names a file, which gets stdout's bytes
+            target = tmp_path / f"{name}.out"
+            text = run(argv)
+            assert run([*argv, "--out", str(target)]) == ""
+            assert target.read_bytes() == text.encode()
+
+
+def test_cli_validate_writes_its_report_to_out(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    assert cli.main(["validate", str(SCENARIOS / "base.json"), "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == f"scenario: ok ({SCENARIOS / 'base.json'})\npenalty axioms: ok\n"
 
 
 def test_cli_out_file(tmp_path):
