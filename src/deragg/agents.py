@@ -211,7 +211,6 @@ class SolverDiagnostics:
 
     grid_points: int  # offers the hull was built on
     refine_iterations: int
-    follower_residual: float
     concavity_ok: bool
     multiple_maxima: bool
     notes: tuple[str, ...] = ()

@@ -125,7 +125,7 @@ def expected_shortfall(model: CapacityModel, x):
         return out if out.ndim else float(out)
     lo, hi = model.support
     inside = np.clip(xa, lo, hi)
-    out = (inside - lo) ** 2 / (2.0 * (hi - lo)) + np.maximum(xa - hi, 0.0)
+    out = np.where(xa < hi, (inside - lo) ** 2 / (2.0 * (hi - lo)), xa - model.mu)
     return out if out.ndim else float(out)
 
 

@@ -209,12 +209,11 @@ def cmd_equilibrium(args) -> int:
     sf = _load(args)
     if args.mean_field:
         res, sol = _solve(sf, mean_field=True)
-        extra = {"beta": sol.beta, "residual": sol.residual}
+        extra = {"beta": sol.beta}
     else:
         res = _solve(sf)
         d = res.diagnostics
-        extra = {"follower_residual": d.follower_residual, "concavity_ok": d.concavity_ok,
-                 "multiple_maxima": d.multiple_maxima}
+        extra = {"concavity_ok": d.concavity_ok, "multiple_maxima": d.multiple_maxima}
     _write(args, sf, [{"rho_star": res.rho_star, "x_star": res.x_star,
                        "aggregate_x": res.aggregate_x, "leader_profit": res.leader_profit,
                        **extra}])

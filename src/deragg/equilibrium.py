@@ -26,13 +26,13 @@ FOC evaluation.  The large-N independent limit has the explicit inverse
 rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
 Certain capacity is the same game without shortfall at x <= cbar, so
-rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one memoised
-table together with its price bounds; the forward responses x*(rho)
-(:func:`symmetric_follower_response`, :func:`meanfield_solve`) are
-bisections of rho(x) = rho on that table.  Its Monte-Carlo draws are
-sampled once per solve.  With a tabulated utility, the E[u'] draws are
-sorted once and E[u'] at each offer is read off their prefix sums, one
-``searchsorted`` of the table knots per offer.  A draw is in the event
+rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one callable
+rho(x), taking one offer or an array of offers, together with its price
+bounds; the forward responses x*(rho) (:func:`symmetric_follower_response`,
+:func:`meanfield_solve`) are bisections of rho(x) = rho.  Its Monte-Carlo
+draws are sampled once per solve.  With a tabulated utility, the E[u']
+draws are sorted once and E[u'] at each offer is read off their prefix
+sums, one ``searchsorted`` of the table knots per offer.  A draw is in the event
 of h at offer x exactly when max(C_i, sum_j C_j / N) <= x < max_j C_j;
 the coverage draws are kept only where that interval is not empty and
 are sorted by where it opens, so each evaluation of h reduces only the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -251,7 +251,7 @@ def symmetric_follower_response(
 
 
 class _InverseResponse:
-    """Memoised finite-N inverse response rho(x) and its price bounds.
+    """Finite-N inverse response rho(x) and its price bounds.
 
     The FOC gap is affine in rho with slope 1/lambda_rt, so one gap
     evaluation at rho_min gives the price at which ``x`` is the symmetric
@@ -263,7 +263,6 @@ class _InverseResponse:
 
     def __init__(self, scenario: GameScenario, draws: int, seed: int):
         self.scenario, self.draws, self.seed = scenario, draws, seed
-        self._memo: dict[float, float] = {}
 
     @cached_property
     def bounds(self) -> tuple[float, float]:
@@ -288,39 +287,21 @@ class _InverseResponse:
         """E[u'(d0 + C - x)] on the solve's draws."""
         return self.scenario.utility.gamma if self.emu is None else self.emu(x)
 
-    def gap(self, rho: float, x: float) -> float:
-        return follower_foc_gap(
-            self.scenario, rho, x, draws=self.draws, seed=self.seed, _inverse=self
-        )
-
-    def _rho(self, x: float) -> float:
-        rho_min = self.bounds[0]
-        return rho_min - self.scenario.lambda_rt * self.gap(rho_min, x)
-
-    def __call__(self, x: float) -> float:
-        if x not in self._memo:
-            self._memo[x] = self._rho(x)
-        return self._memo[x]
-
     @property
     def per_offer(self) -> bool:
         """Whether rho carries the Monte-Carlo coverage term h (iid, N >= 2),
         whose kernel takes one offer at a time."""
         return self.scenario.capacity.kind == IID_UNIFORM and self.scenario.n_prosumers >= 2
 
-    def table(self, xs) -> np.ndarray:
-        """rho at every offer of ``xs``, kept in the memo.
-
-        One numpy call evaluates the whole table unless :attr:`per_offer`:
-        the coverage kernel then runs once per offer, so no offers-by-draws
-        array is ever held.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if self.per_offer:
-            return np.array([self(x) for x in xs.tolist()])
-        rhos = self._rho(xs)
-        self._memo.update(zip(xs.tolist(), rhos.tolist()))
-        return rhos
+    def __call__(self, x):
+        """rho at one offer, or at an array of offers in one numpy call; one
+        offer at a time under :attr:`per_offer`, so no offers-by-draws array is held."""
+        if np.ndim(x) and self.per_offer:
+            return np.array([self(v) for v in x.tolist()])
+        rho_min = self.bounds[0]
+        return rho_min - self.scenario.lambda_rt * follower_foc_gap(
+            self.scenario, rho_min, x, draws=self.draws, seed=self.seed, _inverse=self
+        )
 
     def offers(self, n: int) -> list[float]:
         """``n`` offers on [0, cbar] plus the support ends (the kinks of F)."""
@@ -332,7 +313,8 @@ class _InverseResponse:
         """The offers, the outlays R(x) = x * rho(x) there, and the indices of
         the offers on the lower convex hull of R, in ascending order."""
         xs = self.offers(n)
-        rs = (np.asarray(xs) * self.table(xs)).tolist()
+        offers = np.asarray(xs)
+        rs = (offers * self(offers)).tolist()
         hull = []  # monotone chain over offer indices
         for i in range(len(xs)):
             while len(hull) >= 2:
@@ -375,18 +357,17 @@ def stackelberg_solve(
     plus the support ends, refined by golden section to ``tol_x`` between
     its neighbouring offers.  The offer table costs one FOC evaluation
     (one per offer with the Monte-Carlo coverage term, iid N >= 2), each
-    golden step one more, and the posted price is rho* = rho(x*).  Where
-    rho(x) is flat the followers are indifferent along the run, the hull
-    skips it, and the leader buys its largest offer: with certain capacity
-    and linear utility, the whole capacity at rho* = rho_min.
+    golden step one more, the vertex's profit one and the posted price
+    rho* = rho(x*) one.  Where rho(x) is flat the followers are indifferent
+    along the run, the hull skips it, and the leader buys its largest
+    offer: with certain capacity and linear utility, the whole capacity at
+    rho* = rho_min.
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
     n = scenario.n_prosumers
     cbar = scenario.capacity.cbar
     x_star, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
-    if 0.0 < x_star < cbar:
-        diag = replace(diag, follower_residual=abs(inverse.gap(rho_star, x_star)))
     profit = (scenario.lambda_da - rho_star) * n * x_star
     return EquilibriumResult(
         rho_star, x_star, n * x_star, profit, n, cbar, scenario.lambda_da, diag
@@ -415,7 +396,7 @@ def _offer_search(inverse, grid_points, tol):
     lambda_da, n = scenario.lambda_da, scenario.n_prosumers
     if lambda_da <= inverse.bounds[0]:
         notes = ("degenerate price interval; followers never offer",)
-        diag = SolverDiagnostics(0, 0, 0.0, True, False, notes)
+        diag = SolverDiagnostics(0, 0, True, False, notes)
         return 0.0, lambda_da, diag
 
     def profit(x):
@@ -442,7 +423,7 @@ def _offer_search(inverse, grid_points, tol):
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
-    diag = SolverDiagnostics(len(xs), iters, 0.0, concavity_ok, multiple_maxima, tuple(notes))
+    diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima, tuple(notes))
     return x_star, inverse(x_star), diag
 
 
@@ -452,7 +433,6 @@ class MeanFieldSolution:
 
     beta: float
     x_star: float
-    residual: float
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -473,8 +453,6 @@ class _MeanFieldInverse(_InverseResponse):
     Nondecreasing in x, and flat at E[u'] up to x = E[C] where beta = 0.
     """
 
-    per_offer = False  # no coverage term: beta * F is one numpy expression
-
     def __init__(self, scenario: GameScenario, draws: int, seed: int):
         if scenario.capacity.kind != IID_UNIFORM:
             raise ValidationError("mean-field solve requires iid capacities")
@@ -485,7 +463,7 @@ class _MeanFieldInverse(_InverseResponse):
         model = self.scenario.capacity
         return sorted({*super().offers(n), min(model.mean, model.cbar)})
 
-    def _rho(self, x: float) -> float:
+    def __call__(self, x):
         model = self.scenario.capacity
         return self.marginal_utility(x) + (
             self.scenario.lambda_rt * _meanfield_beta(model, x) * cdf_marginal(model, x)
@@ -508,15 +486,10 @@ def meanfield_solve(
     """
     inverse = _inverse or _MeanFieldInverse(scenario, DEFAULT_DRAWS, DEFAULT_SEED)
     model = scenario.capacity
-    rho_min, rho_max = inverse.bounds
     x = inverse.forward(rho, tol)
-    if rho == rho_min:
-        return MeanFieldSolution(0.0, min(model.mean, model.cbar), 0.0)
-    if not rho_min < rho < rho_max:
-        # a corner: no offer, or the cap binds and its multiplier carries the gap
-        return MeanFieldSolution(0.0 if rho < rho_min else 1.0, x, 0.0)
-    residual = abs(rho - inverse(x)) / scenario.lambda_rt
-    return MeanFieldSolution(_meanfield_beta(model, x), x, residual)
+    if rho == inverse.bounds[0]:
+        x = min(model.mean, model.cbar)
+    return MeanFieldSolution(_meanfield_beta(model, x), x)
 
 
 def meanfield_stackelberg(
@@ -540,7 +513,7 @@ def meanfield_stackelberg(
     n = scenario.n_prosumers
     result = EquilibriumResult(
         rho_star, sol.x_star, n * sol.x_star, (scenario.lambda_da - rho_star) * n * sol.x_star,
-        n, model.cbar, scenario.lambda_da, replace(diag, follower_residual=sol.residual),
+        n, model.cbar, scenario.lambda_da, diag,
     )
     return result, sol
 

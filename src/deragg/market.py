@@ -389,7 +389,7 @@ def build_supply_curve_direct(
     n = scenario.n_prosumers
     ys = rho_1.offers(n_points)
     points = []
-    for y, p in zip(ys, rho_1.table(ys).tolist()):
+    for y, p in zip(ys, rho_1(np.asarray(ys)).tolist()):
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
             points[-1] = (n * y, p)  # stretch the flat run to its largest offer
         else:

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .agents import GameScenario, UtilitySpec, linear_utility, tabulated_utility
+from .agents import TABULATED, GameScenario, UtilitySpec, linear_utility, tabulated_utility
 from .capacity import (
     DEPENDENT_UNIFORM,
     DETERMINISTIC,
@@ -107,6 +107,15 @@ def _take(mapping, where, required=(), optional=()):
     return out
 
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int: an int, or a float with an integral value such as 1e4."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{where} must be an integer, got {value!r}")
+
+
 def _capacity_from(obj) -> CapacityModel:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == DETERMINISTIC:
@@ -159,7 +168,7 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
         required=("n_prosumers", "d0", "capacity", "utility", "lambda_da", "lambda_rt"),
     )
     game = GameScenario(
-        n_prosumers=int(sc["n_prosumers"]),
+        n_prosumers=_integer(sc["n_prosumers"], "scenario.n_prosumers"),
         d0=float(sc["d0"]),
         capacity=_capacity_from(sc["capacity"]),
         utility=_utility_from(sc["utility"]),
@@ -179,10 +188,11 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
             optional=("draws", "seed", "tol_x", "tol_rho", "rho_grid_points"),
         )
         solver = SolverSettings(
-            draws=int(f.get("draws", solver.draws)),
-            seed=int(f.get("seed", solver.seed)),
+            draws=_integer(f.get("draws", solver.draws), "solver.draws"),
+            seed=_integer(f.get("seed", solver.seed), "solver.seed"),
             tol_x=float(f.get("tol_x", solver.tol_x)),
-            rho_grid_points=int(f.get("rho_grid_points", solver.rho_grid_points)),
+            rho_grid_points=_integer(f.get("rho_grid_points", solver.rho_grid_points),
+                                     "solver.rho_grid_points"),
         )
     sweep = None
     if "sweep" in top:
@@ -191,7 +201,7 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
             parameter=str(f["parameter"]),
             start=float(f["from"]),
             stop=float(f["to"]),
-            steps=int(f["steps"]),
+            steps=_integer(f["steps"], "sweep.steps"),
         )
     return ScenarioFile(
         schema_version=SCHEMA_VERSION,
@@ -236,12 +246,16 @@ def apply_sweep_value(sf: ScenarioFile, parameter: str, value: float) -> Scenari
         mu = value if parameter == "mu" else cap.mu
         sigma = value if parameter == "sigma" else cap.sigma
         maker = dependent_uniform if cap.kind == DEPENDENT_UNIFORM else iid_uniform
-        new_cap = maker(mu, sigma)
+        # an explicit cbar above the support stays; a default one follows the support
+        new_cap = maker(mu, sigma, cap.cbar if cap.cbar > cap.support[1] else None)
         # keep d0 above the (possibly grown) installed capacity; with linear
         # utility d0 never affects best responses, only a payoff constant
         d0 = max(game.d0, new_cap.cbar * (1.0 + 1e-9) + 1e-9)
         game = replace(game, capacity=new_cap, d0=d0)
     elif parameter == "gamma":
+        if game.utility.kind == TABULATED:
+            # the table, not gamma, gives a tabulated utility's marginal
+            raise ValidationError("cannot sweep gamma on a tabulated utility")
         game = replace(game, utility=linear_utility(value))
     elif parameter in ("lambda_da", "lambda_rt"):
         game = replace(game, **{parameter: value})

@@ -220,7 +220,7 @@ def test_coverage_memory_bounded_in_n_and_draws():
     sc = dg.GameScenario(n, 30.0, dg.iid_uniform(10.0, 3.3), dg.linear_utility(2.5), 4.0, 4.0)
     tracemalloc.start()
     try:
-        _InverseResponse(sc, draws, 1).gap(4.0, sc.capacity.cbar)
+        dg.follower_foc_gap(sc, 4.0, sc.capacity.cbar, draws=draws, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,15 +339,16 @@ def _count_foc_calls(monkeypatch, scenario_file):
 
 
 def test_leader_evaluates_each_offer_once(monkeypatch):
-    # one FOC call evaluates the whole offer table, then the golden
-    # refinement and the follower residual at x*
+    # one FOC call evaluates the whole offer table, then one each for the
+    # golden refinement's steps, the best vertex's profit and rho(x*)
     res, calls = _count_foc_calls(monkeypatch, "base.json")
     assert res.diagnostics.grid_points == 257  # 256 offers on [0, cbar] plus the support's low end
     assert len(calls) <= res.diagnostics.refine_iterations + 5
 
 
 def test_iid_leader_evaluates_the_coverage_term_once_per_offer(monkeypatch):
-    # the Monte-Carlo coverage kernel takes one offer per FOC call
+    # the Monte-Carlo coverage kernel takes one offer per FOC call: the
+    # table's offers, the golden steps, the best vertex's profit and rho(x*)
     res, calls = _count_foc_calls(monkeypatch, "iid.json")
     assert res.diagnostics.grid_points < len(calls)
     assert len(calls) <= res.diagnostics.grid_points + res.diagnostics.refine_iterations + 4
@@ -357,9 +358,9 @@ def test_iid_leader_evaluates_the_coverage_term_once_per_offer(monkeypatch):
     "dependent", "deterministic", "tabulated", "deterministic-tabulated", "meanfield",
     "meanfield-tabulated", "iid-n4",
 ])
-def test_table_matches_the_scalar_inverse_response(case, monkeypatch):
-    # the whole-table rho equals the per-offer memo path bit for bit, off
-    # the offer grid too, and leaves the hull unchanged
+def test_table_matches_the_scalar_inverse_response(case):
+    # rho on an array of offers equals rho offer by offer bit for bit, off
+    # the offer grid too, and the hull's outlays are x * rho(x)
     iid4 = make_scenario(kind="iid", n=4)
     iid4_tabulated = replace(iid4, d0=16.5, utility=dg.tabulated_utility(_TABLE))
     build = {
@@ -372,13 +373,11 @@ def test_table_matches_the_scalar_inverse_response(case, monkeypatch):
         "meanfield-tabulated": lambda: _MeanFieldInverse(iid4_tabulated, 20_000, 7),
         "iid-n4": lambda: _InverseResponse(iid4, 2000, 7),
     }[case]
-    inverse, scalar = build(), build()
+    inverse = build()
     xs = inverse.offers(32) + np.linspace(0.0, inverse.scenario.capacity.cbar, 13)[1:-1].tolist()
-    rhos = inverse.table(xs)
-    assert rhos.tolist() == [scalar(x) for x in xs]
-    assert all(inverse._memo[x] == scalar(x) for x in xs)
-    monkeypatch.setattr(scalar, "table", lambda offers: np.array([scalar(x) for x in offers]))
-    assert inverse.hull(32) == scalar.hull(32)
+    assert inverse(np.asarray(xs)).tolist() == [inverse(x) for x in xs]
+    offers, rs, _ = inverse.hull(32)
+    assert rs == [x * inverse(x) for x in offers]
     if case.startswith("meanfield"):
         assert "caps" not in vars(inverse)  # no coverage layout behind the mean field
 
@@ -438,7 +437,6 @@ def test_meanfield_interior_against_scan_oracle():
     assert sol.x_star == pytest.approx(10.3810511777, abs=1e-6)
     assert sol.x_star > 10.0
     assert sol.beta * dg.cdf_marginal(model, sol.x_star) == pytest.approx(target, abs=1e-8)
-    assert sol.residual <= 1e-8
 
 
 def test_meanfield_offer_cap_binds():
@@ -446,6 +444,16 @@ def test_meanfield_offer_cap_binds():
     sol = dg.meanfield_solve(sc, rho=2.5 + 4.0 + 0.5)
     assert sol.beta == 1.0
     assert sol.x_star == sc.capacity.cbar
+
+
+def test_meanfield_beta_is_exactly_one_where_the_cap_binds():
+    # E[(x - C)+] is x - mu at and above the support top, so beta(cbar) = 1
+    # with no rounding; the in-support formula gave 0.9999999999999998 here
+    sc = make_scenario(kind="iid", n=2, mu=12.0, sigma=2.5)
+    cap = sc.capacity
+    assert dg.expected_shortfall(cap, cap.cbar) == cap.cbar - cap.mu
+    sol = dg.meanfield_solve(sc, rho=2.5 + 4.0 + 0.5)
+    assert (sol.beta, sol.x_star) == (1.0, cap.cbar)
 
 
 def test_meanfield_random_instances_within_bounds():
@@ -499,7 +507,8 @@ def _deterministic_tabulated_scenario():
     return dg.GameScenario(1, 11.0, dg.deterministic(10.0), dg.tabulated_utility(_TABLE), 4.0, 4.0)
 
 
-@pytest.mark.parametrize("case", ["dependent-linear", "iid-n4", "tabulated"])
+@pytest.mark.parametrize(
+    "case", ["dependent-linear", "iid-n4", "tabulated", "deterministic-tabulated"])
 def test_leader_solution_lies_on_forward_response(case):
     # the offer-space leader posts rho* = rho(x*); the forward bisection at
     # rho* (same draws, same seed) must hand back x*
@@ -507,13 +516,16 @@ def test_leader_solution_lies_on_forward_response(case):
         "dependent-linear": make_scenario,
         "iid-n4": lambda: make_scenario(kind="iid", n=4),
         "tabulated": _tabulated_scenario,
+        # rho(x) <= 2.5 for x <= 4: the leader buys inside the capacity
+        "deterministic-tabulated":
+            lambda: replace(_deterministic_tabulated_scenario(), lambda_da=2.5),
     }[case]()
     draws, seed = 20_000, 7
     res = dg.stackelberg_solve(sc, grid_points=96, draws=draws, seed=seed)
     assert 0.0 < res.x_star < sc.capacity.cbar
     back = dg.symmetric_follower_response(sc, res.rho_star, draws=draws, seed=seed)
     assert back == pytest.approx(res.x_star, abs=1e-6)
-    assert res.diagnostics.follower_residual <= 1e-12
+    assert res.rho_star == _InverseResponse(sc, draws, seed)(res.x_star)
 
 
 @pytest.mark.parametrize("case", [

@@ -108,6 +108,56 @@ def test_kappa_sweep_rejected_on_segmented_generator():
         apply_sweep_value(sf, "kappa", 3.25)
 
 
+def test_sigma_and_mu_sweeps_keep_an_explicit_cbar():
+    # a cbar above the support top stays put; a default cbar follows the support
+    iid = json.loads((SCENARIOS / "iid.json").read_text(encoding="utf-8"))
+    explicit = parse_scenario(deep(iid, (("scenario", "capacity", "cbar"), 20),
+                                   (("scenario", "d0"), 25)))
+    for parameter, value in (("sigma", 3.5), ("mu", 9.0)):
+        assert apply_sweep_value(explicit, parameter, value).scenario.capacity.cbar == 20.0
+    moved = apply_sweep_value(load_scenario(SCENARIOS / "base.json"), "sigma", 3.5)
+    assert moved.scenario.capacity.cbar == moved.scenario.capacity.support[1]
+
+
+def test_gamma_sweep_rejected_on_tabulated_utility(tmp_path, capsys):
+    # the table, not gamma, gives a tabulated utility's marginal: a gamma
+    # sweep would throw the table away and solve a linear-utility game
+    table = {"kind": "tabulated", "marginal_points": [[0.0, 3.4], [12.0, 2.8], [34.0, 1.9]]}
+    payload = deep(BASE, (("scenario", "utility"), table),
+                   (("sweep",), {"parameter": "gamma", "from": 2.0, "to": 2.5, "steps": 2}))
+    with pytest.raises(ValidationError, match="tabulated"):
+        apply_sweep_value(parse_scenario(payload), "gamma", 2.0)
+    assert cli.main(["sweep", write_scenario(tmp_path, payload)]) == cli.EXIT_SOLVER
+    rows = read_table(capsys.readouterr().out)
+    assert [r["status"].startswith("failed:") for r in rows] == [True, True]
+
+
+@pytest.mark.parametrize("key,value", [
+    (("scenario", "n_prosumers"), 2.5),
+    (("scenario", "n_prosumers"), True),
+    (("solver", "draws"), 20000.7),
+    (("solver", "seed"), 7.9),
+    (("solver", "seed"), "7"),
+    (("solver", "rho_grid_points"), 96.5),
+    (("sweep", "steps"), 3.9),
+], ids=["n_prosumers", "n_prosumers-bool", "draws", "seed", "seed-string", "rho_grid_points",
+        "sweep-steps"])
+def test_integer_keys_reject_non_integral_values(tmp_path, capsys, key, value):
+    sweep = {"parameter": "sigma", "from": 3.3, "to": 5.77, "steps": 3}
+    payload = deep(BASE, (("sweep",), sweep), (key, value))
+    with pytest.raises(ValidationError, match=".".join(key) + " must be an integer"):
+        parse_scenario(payload)
+    assert cli.main(["validate", write_scenario(tmp_path, payload)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integer_keys_accept_integral_floats_and_keep_large_seeds():
+    sf = parse_scenario(deep(BASE, (("scenario", "n_prosumers"), 2.0),
+                             (("solver", "draws"), 1e4), (("solver", "seed"), 2**100)))
+    assert (sf.scenario.n_prosumers, sf.solver.draws, sf.solver.seed) == (2, 10_000, 2**100)
+    assert type(sf.solver.draws) is int
+
+
 @pytest.mark.parametrize("key,token", [
     (("solver", "draws"), "1e999"),
     (("scenario", "n_prosumers"), "1e999"),
