@@ -58,7 +58,6 @@ from .errors import (
 )
 from .market import (
     DispatchOutcome,
-    DispatchProblem,
     GeneratorSpec,
     PoAgReport,
     SupplyCurve,

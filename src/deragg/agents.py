@@ -220,20 +220,25 @@ class SolverDiagnostics:
 class EquilibriumResult:
     """Leader price, symmetric follower offer, and solve diagnostics."""
 
+    scenario: GameScenario = field(repr=False)
     rho_star: float
     x_star: float
-    aggregate_x: float
-    leader_profit: float
-    n_prosumers: int
-    cbar: float
-    lambda_da: float
     diagnostics: SolverDiagnostics = field(repr=False, default=None)
 
     def __post_init__(self):
-        tol = 1e-9 * (1.0 + abs(self.cbar))
-        if not -tol <= self.x_star <= self.cbar + tol:
-            raise ValidationError(f"x_star={self.x_star} outside [0, cbar={self.cbar}]")
-        if not -tol <= self.rho_star <= self.lambda_da + tol:
-            raise ValidationError(f"rho_star={self.rho_star} outside [0, lambda_da={self.lambda_da}]")
-        if abs(self.aggregate_x - self.n_prosumers * self.x_star) > tol * self.n_prosumers:
-            raise ValidationError("aggregate_x must equal n_prosumers * x_star")
+        cbar, lambda_da = self.scenario.capacity.cbar, self.scenario.lambda_da
+        tol = 1e-9 * (1.0 + abs(cbar))
+        if not -tol <= self.x_star <= cbar + tol:
+            raise ValidationError(f"x_star={self.x_star} outside [0, cbar={cbar}]")
+        if not -tol <= self.rho_star <= lambda_da + tol:
+            raise ValidationError(f"rho_star={self.rho_star} outside [0, lambda_da={lambda_da}]")
+
+    @property
+    def aggregate_x(self) -> float:
+        """The pooled offer N * x*."""
+        return self.scenario.n_prosumers * self.x_star
+
+    @property
+    def leader_profit(self) -> float:
+        """The aggregator's margin on the pooled offer, (lambda_da - rho*) * N * x*."""
+        return (self.scenario.lambda_da - self.rho_star) * self.scenario.n_prosumers * self.x_star

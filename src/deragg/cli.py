@@ -32,10 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .market import (
-    MODE_AGGREGATED,
-    MODE_DIRECT,
-    MODE_NODER,
-    DispatchProblem,
+    TIE_RULE,
     build_supply_curve_aggregated,
     build_supply_curve_direct,
     clear_market,
@@ -196,7 +193,7 @@ def cmd_validate(args) -> int:
     sf = _load(args)
     issues = _penalty_axiom_issues(sf.solver.seed)
     if args.closed_form:
-        closed_form_params(sf.scenario)  # raises AdmissibilityError off the band
+        closed_form_params(sf.scenario)  # AdmissibilityError where the closed form fails
     report = [
         f"scenario: ok ({args.file})",
         f"penalty axioms: {'ok' if not issues else '; '.join(issues)}",
@@ -235,19 +232,19 @@ def cmd_supply_curve(args) -> int:
 def cmd_dispatch(args) -> int:
     sf = _load(args)
     demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
-    mode = {"agg": MODE_AGGREGATED, "direct": MODE_DIRECT, "noder": MODE_NODER}[args.mode]
     curve = None
-    if mode != MODE_NODER:
+    if args.mode != "noder":
         agg, direct, _ = der_curves(sf.scenario, args.curve_source, sf.solver.draws,
                                     sf.solver.seed)
-        curve = agg if mode == MODE_AGGREGATED else direct
-    outcome = clear_market(DispatchProblem(sf.generators, demand, curve, mode))
+        curve = agg if args.mode == "agg" else direct
+    outcome = clear_market(sf.generators, demand, curve)
     _write(args, sf, [{
-        "mode": mode, "clearing_price": outcome.clearing_price,
+        "mode": "aggregated" if args.mode == "agg" else args.mode,
+        "clearing_price": outcome.clearing_price,
         "cleared_der": outcome.cleared_der,
         "cleared_generation": sum(outcome.cleared_generator),
         "total_cost": outcome.total_cost,
-    }], tie_rule=outcome.tie_rule)
+    }], tie_rule=TIE_RULE)
     return EXIT_OK
 
 

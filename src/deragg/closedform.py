@@ -152,7 +152,11 @@ class ProcurementCosts:
     cost_direct: float
     cost_noder: float
     q_star: float
-    poag: float
+
+    @property
+    def poag(self) -> float:
+        """The price of aggregation, C_agg / C_direct."""
+        return self.cost_aggregated / self.cost_direct
 
 
 def procurement_costs(
@@ -180,10 +184,4 @@ def procurement_costs(
     cost_direct = cost_noder - q_star * margin
     if not (cost_noder >= cost_aggregated - 1e-9 and cost_aggregated >= cost_direct - 1e-9):
         raise AdmissibilityError("cost ordering violated; parameters are off the admissible band")
-    return ProcurementCosts(
-        cost_aggregated=cost_aggregated,
-        cost_direct=cost_direct,
-        cost_noder=cost_noder,
-        q_star=q_star,
-        poag=cost_aggregated / cost_direct,
-    )
+    return ProcurementCosts(cost_aggregated, cost_direct, cost_noder, q_star)

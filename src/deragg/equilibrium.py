@@ -13,9 +13,11 @@ response explicitly,
 
     rho(x) = E[u'(d0 + C - x)] + lambda_rt * (F(x, ..., x) + h(x)),
 
-which is nondecreasing in x.  The aggregator therefore searches over the
-pooled offer instead of the price: it maximizes (lambda_da - rho(x)) * N * x
-and posts rho* = rho(x*).  One table of the outlay R(x) = x * rho(x) on a
+which is nondecreasing in x up to the Monte-Carlo h, whose draws make rho
+jump by up to about 2e-4 where a single one enters its event (iid, N >= 2).
+The aggregator therefore searches over the pooled offer instead of the
+price: it maximizes (lambda_da - rho(x)) * N * x and posts
+rho* = rho(x*).  One table of the outlay R(x) = x * rho(x) on a
 fixed set of offers answers this at every wholesale price: the leader takes
 the vertex of R's lower convex hull that is best at lambda_da and refines
 it by golden section, one FOC evaluation per golden step, and the
@@ -365,13 +367,8 @@ def stackelberg_solve(
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
-    n = scenario.n_prosumers
-    cbar = scenario.capacity.cbar
     x_star, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
-    profit = (scenario.lambda_da - rho_star) * n * x_star
-    return EquilibriumResult(
-        rho_star, x_star, n * x_star, profit, n, cbar, scenario.lambda_da, diag
-    )
+    return EquilibriumResult(scenario, rho_star, x_star, diag)
 
 
 def _offer_search(inverse, grid_points, tol):
@@ -506,16 +503,10 @@ def meanfield_stackelberg(
     indifference optimum is found exactly.  ``draws`` and ``seed`` give
     the Monte-Carlo E[u'] of a tabulated utility; a linear one samples none.
     """
-    model = scenario.capacity
     inverse = _MeanFieldInverse(scenario, draws, seed)
     _, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
     sol = meanfield_solve(scenario, rho_star, _inverse=inverse)
-    n = scenario.n_prosumers
-    result = EquilibriumResult(
-        rho_star, sol.x_star, n * sol.x_star, (scenario.lambda_da - rho_star) * n * sol.x_star,
-        n, model.cbar, scenario.lambda_da, diag,
-    )
-    return result, sol
+    return EquilibriumResult(scenario, rho_star, sol.x_star, diag), sol
 
 
 def shortfall_ratio_convergence(

@@ -34,13 +34,8 @@ from .closedform import (
     inverse_supply_direct,
 )
 from .equilibrium import DEFAULT_GRID_POINTS, _InverseResponse
-from .errors import MarketInfeasibleError, ValidationError
+from .errors import AdmissibilityError, MarketInfeasibleError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
-
-MODE_AGGREGATED = "aggregated"
-MODE_DIRECT = "direct"
-MODE_NODER = "noder"
-_MODES = (MODE_AGGREGATED, MODE_DIRECT, MODE_NODER)
 
 TIE_RULE = "pro-rata by remaining headroom at the clearing price"
 
@@ -199,49 +194,12 @@ def direct_affine_curve(p: UniformLinearParams) -> SupplyCurve:
 
 
 @dataclass(frozen=True)
-class DispatchProblem:
-    generators: tuple[GeneratorSpec, ...]
-    demand: float
-    der_supply: SupplyCurve | None
-    mode: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
-            raise ValidationError("the merit order needs at least one generator")
-        if not (math.isfinite(self.demand) and self.demand >= 0.0):
-            raise ValidationError(f"demand must be finite and nonnegative, got {self.demand}")
-        if self.mode not in _MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode != MODE_NODER and self.der_supply is None:
-            raise ValidationError(f"mode {self.mode!r} needs a DER supply curve")
-        total = sum(c.quantity_cap for c in self.offers)
-        if total < self.demand * (1.0 - _BALANCE_RTOL):
-            raise MarketInfeasibleError(
-                f"total capability {total:.6g} cannot meet demand {self.demand:.6g}",
-                shortfall=self.demand - total,
-            )
-        must_run = sum(g.qmin for g in self.generators)
-        if must_run > self.demand * (1.0 + _BALANCE_RTOL) and must_run > 0:
-            raise MarketInfeasibleError(
-                "must-run minimum exceeds demand", shortfall=must_run - self.demand
-            )
-
-    @property
-    def offers(self) -> tuple[SupplyCurve, ...]:
-        """The generators' offers, then the DER curve if the mode uses one."""
-        der = () if self.mode == MODE_NODER else (self.der_supply,)
-        return tuple(g.offer for g in self.generators) + der
-
-
-@dataclass(frozen=True)
 class DispatchOutcome:
     cleared_generator: tuple[float, ...]
     cleared_der: float
     clearing_price: float
     total_cost: float
     demand: float
-    tie_rule: str = TIE_RULE
 
     def __post_init__(self):
         served = sum(self.cleared_generator) + self.cleared_der
@@ -251,9 +209,12 @@ class DispatchOutcome:
             )
 
 
-def clear_market(problem: DispatchProblem) -> DispatchOutcome:
+def clear_market(
+    generators, demand: float, der_supply: SupplyCurve | None = None
+) -> DispatchOutcome:
     """Exact merit-order clearing by walking the offers' knots.
 
+    The generators' offers, and ``der_supply`` if given, meet ``demand``.
     Every resource, generator or DER, offers a :class:`SupplyCurve`, so
     cumulative supply is nondecreasing and piecewise linear in price; it
     jumps or bends only at the knots, the curves' breakpoint prices.  The
@@ -265,8 +226,21 @@ def clear_market(problem: DispatchProblem) -> DispatchOutcome:
     clearing price split pro rata by remaining headroom (resources with
     unbounded headroom absorb the residual).
     """
-    D = problem.demand
-    offers = problem.offers
+    gens = tuple(generators)
+    if not gens:
+        raise ValidationError("the merit order needs at least one generator")
+    D = demand
+    if not (math.isfinite(D) and D >= 0.0):
+        raise ValidationError(f"demand must be finite and nonnegative, got {D}")
+    offers = tuple(g.offer for g in gens) + (() if der_supply is None else (der_supply,))
+    total = sum(c.quantity_cap for c in offers)
+    if total < D * (1.0 - _BALANCE_RTOL):
+        raise MarketInfeasibleError(
+            f"total capability {total:.6g} cannot meet demand {D:.6g}", shortfall=D - total
+        )
+    must_run = sum(g.qmin for g in gens)
+    if must_run > D * (1.0 + _BALANCE_RTOL) and must_run > 0:
+        raise MarketInfeasibleError("must-run minimum exceeds demand", shortfall=must_run - D)
 
     def levels(p, strict=False):
         """Each offer's largest quantity priced at (strictly below) ``p``."""
@@ -312,7 +286,6 @@ def clear_market(problem: DispatchProblem) -> DispatchOutcome:
         j = max(range(len(alloc)), key=lambda i: alloc[i])
         alloc[j] -= diff
 
-    gens = problem.generators
     for g, q in zip(gens, alloc):
         if not g.qmin - 1e-9 <= q <= g.qmax + 1e-9:
             raise ValidationError(f"dispatch {q} outside [{g.qmin}, {g.qmax}]")
@@ -399,27 +372,39 @@ def build_supply_curve_direct(
 
 @dataclass(frozen=True)
 class PoAgReport:
-    """Procurement costs of the three participation modes and their ratio."""
+    """Market outcomes of the three participation modes and their cost ratio."""
 
-    cost_aggregated: float
-    cost_direct: float
-    cost_noder: float
-    poag: float
-    demand: float
     curve_source: str
     outcome_aggregated: DispatchOutcome
     outcome_direct: DispatchOutcome
     outcome_noder: DispatchOutcome
 
-    def __post_init__(self):
-        if abs(self.poag - self.cost_aggregated / self.cost_direct) > 1e-12 * max(self.poag, 1.0):
-            raise ValidationError("poag must equal cost_aggregated / cost_direct")
+    @property
+    def cost_aggregated(self) -> float:
+        return self.outcome_aggregated.total_cost
+
+    @property
+    def cost_direct(self) -> float:
+        return self.outcome_direct.total_cost
+
+    @property
+    def cost_noder(self) -> float:
+        return self.outcome_noder.total_cost
+
+    @property
+    def poag(self) -> float:
+        """The price of aggregation, C_agg / C_direct."""
+        return self.cost_aggregated / self.cost_direct
+
+    @property
+    def demand(self) -> float:
+        return self.outcome_noder.demand
 
 
 def closed_form_params(scenario: GameScenario) -> UniformLinearParams:
-    """Closed-form parameter tuple for a dependent-uniform linear scenario."""
+    """Closed-form parameters of a dependent-uniform linear scenario, else AdmissibilityError."""
     if not closed_form_applies(scenario):
-        raise ValidationError(
+        raise AdmissibilityError(
             "closed forms need fully dependent uniform capacity and linear utility"
         )
     return UniformLinearParams(
@@ -475,27 +460,16 @@ def price_of_aggregation(
     generators = tuple(generators)
     demand = demand_per_prosumer * scenario.n_prosumers
     agg_curve, dir_curve, curve_source = der_curves(scenario, curve_source, draws, seed)
-    out_noder = clear_market(DispatchProblem(generators, demand, None, MODE_NODER))
-    out_agg = clear_market(DispatchProblem(generators, demand, agg_curve, MODE_AGGREGATED))
-    out_dir = clear_market(DispatchProblem(generators, demand, dir_curve, MODE_DIRECT))
-    poag = out_agg.total_cost / out_dir.total_cost
+    noder = clear_market(generators, demand)  # first: the generators' own error wins
+    report = PoAgReport(curve_source, clear_market(generators, demand, agg_curve),
+                        clear_market(generators, demand, dir_curve), noder)
     # with dependent capacity the pooled offer never undercuts the direct one;
     # with iid capacity pooling hedges shortfalls and PoAg < 1 is genuine
     kappa_min = min(p for g in generators for p in g.offer.knot_prices())
     if (
         scenario.capacity.kind == DEPENDENT_UNIFORM
         and agg_curve.price_at(0.0) < kappa_min
-        and poag < 1.0 - 1e-9
+        and report.poag < 1.0 - 1e-9
     ):
         raise ValidationError("competitive DER produced poag < 1; clearing is inconsistent")
-    return PoAgReport(
-        cost_aggregated=out_agg.total_cost,
-        cost_direct=out_dir.total_cost,
-        cost_noder=out_noder.total_cost,
-        poag=poag,
-        demand=demand,
-        curve_source=curve_source,
-        outcome_aggregated=out_agg,
-        outcome_direct=out_dir,
-        outcome_noder=out_noder,
-    )
+    return report

@@ -116,16 +116,31 @@ def _integer(value, where: str) -> int:
     raise ValidationError(f"{where} must be an integer, got {value!r}")
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float: an int or a float, but not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{where} must be a number, got {value!r}")
+
+
+def _pairs(value, where: str) -> tuple[tuple[float, float], ...]:
+    """``value`` as a tuple of [number, number] pairs."""
+    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
+        raise ValidationError(f"{where} must be a list of [number, number] pairs, got {value!r}")
+    return tuple((_number(a, f"{where}[{k}]"), _number(b, f"{where}[{k}]"))
+                 for k, (a, b) in enumerate(value))
+
+
 def _capacity_from(obj) -> CapacityModel:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == DETERMINISTIC:
         f = _take(obj, "capacity", required=("kind", "cbar"))
-        return deterministic(float(f["cbar"]))
+        return deterministic(_number(f["cbar"], "capacity.cbar"))
     if kind in (DEPENDENT_UNIFORM, IID_UNIFORM):
         f = _take(obj, "capacity", required=("kind", "mu", "sigma"), optional=("cbar",))
         maker = dependent_uniform if kind == DEPENDENT_UNIFORM else iid_uniform
-        cbar = float(f["cbar"]) if "cbar" in f else None
-        return maker(float(f["mu"]), float(f["sigma"]), cbar)
+        cbar = _number(f["cbar"], "capacity.cbar") if "cbar" in f else None
+        return maker(_number(f["mu"], "capacity.mu"), _number(f["sigma"], "capacity.sigma"), cbar)
     raise ValidationError(f"capacity: unknown kind {kind!r}")
 
 
@@ -133,21 +148,22 @@ def _utility_from(obj) -> UtilitySpec:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "linear":
         f = _take(obj, "utility", required=("kind", "gamma"))
-        return linear_utility(float(f["gamma"]))
+        return linear_utility(_number(f["gamma"], "utility.gamma"))
     if kind == "tabulated":
         f = _take(obj, "utility", required=("kind", "marginal_points"))
-        return tabulated_utility([(float(z), float(m)) for z, m in f["marginal_points"]])
+        return tabulated_utility(_pairs(f["marginal_points"], "utility.marginal_points"))
     raise ValidationError(f"utility: unknown kind {kind!r}")
 
 
 def _generator_from(obj, idx) -> GeneratorSpec:
-    f = _take(obj, f"generators[{idx}]", required=("kappa",), optional=("qmin", "qmax", "segments"))
+    where = f"generators[{idx}]"
+    f = _take(obj, where, required=("kappa",), optional=("qmin", "qmax", "segments"))
     qmax = f.get("qmax", None)
     return GeneratorSpec(
-        kappa=float(f["kappa"]),
-        qmin=float(f.get("qmin", 0.0)),
-        qmax=float("inf") if qmax is None else float(qmax),
-        segments=tuple((float(p), float(w)) for p, w in f["segments"]) if "segments" in f else None,
+        kappa=_number(f["kappa"], f"{where}.kappa"),
+        qmin=_number(f.get("qmin", 0.0), f"{where}.qmin"),
+        qmax=float("inf") if qmax is None else _number(qmax, f"{where}.qmax"),
+        segments=_pairs(f["segments"], f"{where}.segments") if "segments" in f else None,
     )
 
 
@@ -169,11 +185,11 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
     )
     game = GameScenario(
         n_prosumers=_integer(sc["n_prosumers"], "scenario.n_prosumers"),
-        d0=float(sc["d0"]),
+        d0=_number(sc["d0"], "scenario.d0"),
         capacity=_capacity_from(sc["capacity"]),
         utility=_utility_from(sc["utility"]),
-        lambda_da=float(sc["lambda_da"]),
-        lambda_rt=float(sc["lambda_rt"]),
+        lambda_da=_number(sc["lambda_da"], "scenario.lambda_da"),
+        lambda_rt=_number(sc["lambda_rt"], "scenario.lambda_rt"),
     )
     gens = top["generators"]
     if not isinstance(gens, list) or not gens:
@@ -190,7 +206,7 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
         solver = SolverSettings(
             draws=_integer(f.get("draws", solver.draws), "solver.draws"),
             seed=_integer(f.get("seed", solver.seed), "solver.seed"),
-            tol_x=float(f.get("tol_x", solver.tol_x)),
+            tol_x=_number(f.get("tol_x", solver.tol_x), "solver.tol_x"),
             rho_grid_points=_integer(f.get("rho_grid_points", solver.rho_grid_points),
                                      "solver.rho_grid_points"),
         )
@@ -199,15 +215,15 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
         f = _take(top["sweep"], "sweep", required=("parameter", "from", "to", "steps"))
         sweep = SweepSettings(
             parameter=str(f["parameter"]),
-            start=float(f["from"]),
-            stop=float(f["to"]),
+            start=_number(f["from"], "sweep.from"),
+            stop=_number(f["to"], "sweep.to"),
             steps=_integer(f["steps"], "sweep.steps"),
         )
     return ScenarioFile(
         schema_version=SCHEMA_VERSION,
         scenario=game,
         generators=generators,
-        demand_per_prosumer=float(top["demand_per_prosumer"]),
+        demand_per_prosumer=_number(top["demand_per_prosumer"], "demand_per_prosumer"),
         solver=solver,
         sweep=sweep,
     )

@@ -157,9 +157,10 @@ def test_nominal_demand_only_shifts_payoff():
 
 def test_equilibrium_result_invariants():
     diag = dg.SolverDiagnostics(8, 0, True, False)
+    sc = dg.GameScenario(2, 11.0, dg.deterministic(10.0), dg.linear_utility(2.5), 4.0, 4.0)
     with pytest.raises(dg.ValidationError):
-        dg.EquilibriumResult(2.0, 99.0, 99.0, 0.0, 1, 10.0, 4.0, diag)
+        dg.EquilibriumResult(sc, 2.0, 99.0, diag)
     with pytest.raises(dg.ValidationError):
-        dg.EquilibriumResult(5.0, 1.0, 1.0, 0.0, 1, 10.0, 4.0, diag)
-    with pytest.raises(dg.ValidationError):
-        dg.EquilibriumResult(2.0, 1.0, 3.0, 0.0, 2, 10.0, 4.0, diag)
+        dg.EquilibriumResult(sc, 5.0, 1.0, diag)
+    res = dg.EquilibriumResult(sc, 2.0, 3.0, diag)
+    assert (res.aggregate_x, res.leader_profit) == (6.0, (4.0 - 2.0) * 2 * 3.0)

@@ -7,7 +7,7 @@ import pytest
 import deragg as dg
 from deragg.cli import FIG_MU_SWEEP, FIG_SIGMA_SWEEP
 from deragg.equilibrium import DEFAULT_GRID_POINTS
-from deragg.market import _BALANCE_RTOL, MODE_AGGREGATED, MODE_DIRECT, MODE_NODER
+from deragg.market import _BALANCE_RTOL
 from deragg.scenario import parse_scenario
 from oracles import tabulated_inverse_response
 from workloads import TABULATED_SCENARIO
@@ -86,9 +86,7 @@ def test_tabulated_curve_interpolation_and_integral():
 
 
 def test_clear_noder_cost_is_kappa_times_demand():
-    out = dg.clear_market(
-        dg.DispatchProblem((dg.GeneratorSpec(kappa=3.25),), 10.0, None, MODE_NODER)
-    )
+    out = dg.clear_market((dg.GeneratorSpec(kappa=3.25),), 10.0)
     assert out.clearing_price == 3.25
     assert out.total_cost == pytest.approx(32.5)
     assert out.cleared_der == 0.0
@@ -96,10 +94,7 @@ def test_clear_noder_cost_is_kappa_times_demand():
 
 def test_clear_aggregated_fig5():
     out = dg.clear_market(
-        dg.DispatchProblem(
-            (dg.GeneratorSpec(kappa=3.25),), 10.0,
-            dg.aggregated_affine_curve(fig5_params()), MODE_AGGREGATED,
-        )
+        (dg.GeneratorSpec(kappa=3.25),), 10.0, dg.aggregated_affine_curve(fig5_params())
     )
     assert out.clearing_price == 3.25
     assert out.cleared_der == pytest.approx(3.2138, abs=1e-4)
@@ -109,10 +104,7 @@ def test_clear_aggregated_fig5():
 
 def test_clear_direct_fig5():
     out = dg.clear_market(
-        dg.DispatchProblem(
-            (dg.GeneratorSpec(kappa=3.25),), 10.0,
-            dg.direct_affine_curve(fig5_params()), MODE_DIRECT,
-        )
+        (dg.GeneratorSpec(kappa=3.25),), 10.0, dg.direct_affine_curve(fig5_params())
     )
     assert out.cleared_der == pytest.approx(6.4276, abs=1e-4)
     assert out.total_cost == pytest.approx(25.271, abs=2e-3)
@@ -120,9 +112,7 @@ def test_clear_direct_fig5():
 
 def test_der_sets_price_when_generator_is_expensive():
     curve = dg.direct_affine_curve(fig5_params())
-    out = dg.clear_market(
-        dg.DispatchProblem((dg.GeneratorSpec(kappa=50.0),), 5.0, curve, MODE_DIRECT)
-    )
+    out = dg.clear_market((dg.GeneratorSpec(kappa=50.0),), 5.0, curve)
     assert out.cleared_der == pytest.approx(5.0)
     assert out.clearing_price == pytest.approx(curve.price_at(5.0), abs=1e-6)
     assert out.cleared_generator[0] == 0.0
@@ -133,7 +123,7 @@ def test_tie_split_pro_rata():
         dg.GeneratorSpec(kappa=2.0, qmax=10.0),
         dg.GeneratorSpec(kappa=2.0, qmax=30.0),
     )
-    out = dg.clear_market(dg.DispatchProblem(gens, 20.0, None, MODE_NODER))
+    out = dg.clear_market(gens, 20.0)
     assert out.clearing_price == 2.0
     assert out.cleared_generator[0] == pytest.approx(5.0)
     assert out.cleared_generator[1] == pytest.approx(15.0)
@@ -141,8 +131,15 @@ def test_tie_split_pro_rata():
 
 def test_infeasible_demand():
     with pytest.raises(dg.MarketInfeasibleError) as err:
-        dg.DispatchProblem((dg.GeneratorSpec(kappa=2.0, qmax=4.0),), 10.0, None, MODE_NODER)
+        dg.clear_market((dg.GeneratorSpec(kappa=2.0, qmax=4.0),), 10.0)
     assert err.value.shortfall == pytest.approx(6.0)
+
+
+def test_must_run_above_demand_is_infeasible():
+    gens = (dg.GeneratorSpec(kappa=2.0, qmin=7.0, qmax=9.0), dg.GeneratorSpec(kappa=1.0, qmin=1.5))
+    with pytest.raises(dg.MarketInfeasibleError, match="must-run") as err:
+        dg.clear_market(gens, 6.0)
+    assert err.value.shortfall == 8.5 - 6.0
 
 
 @pytest.mark.parametrize("make", [
@@ -150,7 +147,7 @@ def test_infeasible_demand():
     lambda: dg.GeneratorSpec(kappa=1.0, qmax=math.nan),
     lambda: dg.GeneratorSpec(kappa=1.0, segments=((math.nan, 1.0),)),
     lambda: dg.GeneratorSpec(kappa=1.0, segments=((1.0, math.nan),)),
-    lambda: dg.DispatchProblem((dg.GeneratorSpec(kappa=1.0),), math.nan, None, MODE_NODER),
+    lambda: dg.clear_market((dg.GeneratorSpec(kappa=1.0),), math.nan),
     lambda: dg.SupplyCurve(breakpoints=((0.0, 1.0), (1.0, math.nan))),
 ], ids=["qmin", "qmax", "segment-price", "segment-width", "demand", "curve-breakpoint"])
 def test_market_rejects_nan_input(make):
@@ -160,7 +157,7 @@ def test_market_rejects_nan_input(make):
 
 def test_empty_merit_order_is_rejected():
     with pytest.raises(dg.ValidationError):
-        dg.DispatchProblem((), 0.0, None, MODE_NODER)
+        dg.clear_market((), 0.0)
 
 
 def test_exact_clearing_on_mixed_merit_order():
@@ -175,7 +172,7 @@ def test_exact_clearing_on_mixed_merit_order():
     knots = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}
     off_knot = set()
     for demand in np.linspace(1.0, 18.0, 69):
-        out = dg.clear_market(dg.DispatchProblem(gens, float(demand), curve, MODE_DIRECT))
+        out = dg.clear_market(gens, float(demand), curve)
         p = out.clearing_price
         below = sum(g.offer.quantity_below(p) for g in gens) + curve.quantity_below(p)
         at = sum(g.offer.quantity_at(p) for g in gens) + curve.quantity_at(p)
@@ -215,14 +212,14 @@ def test_exact_clearing_on_random_merit_orders():
     rng = np.random.default_rng(11)
     for _ in range(200):
         gens, curve = _random_merit_order(rng)
-        mode = MODE_DIRECT if rng.random() < 0.7 else MODE_NODER
-        offers = [g.offer for g in gens] + ([curve] if mode == MODE_DIRECT else [])
+        der = curve if rng.random() < 0.7 else None
+        offers = [g.offer for g in gens] + ([der] if der is not None else [])
         must_run = sum(g.qmin for g in gens)
         cap = min(sum(c.quantity_cap for c in offers), must_run + 30.0)
         demand = float(rng.uniform(must_run, cap))
-        out = dg.clear_market(dg.DispatchProblem(gens, demand, curve, mode))
+        out = dg.clear_market(gens, demand, der)
         p = out.clearing_price
-        alloc = list(out.cleared_generator) + ([out.cleared_der] if mode == MODE_DIRECT else [])
+        alloc = list(out.cleared_generator) + ([out.cleared_der] if der is not None else [])
         slack = _BALANCE_RTOL * max(demand, 1.0)
         for c, q in zip(offers, alloc):
             assert c.quantity_below(p) - slack <= q <= c.quantity_at(p) + slack
@@ -234,13 +231,13 @@ def test_exact_clearing_on_random_merit_orders():
 
 def test_must_run_clears_at_the_lowest_knot():
     g = dg.GeneratorSpec(kappa=0.5, qmin=10.0, qmax=20.0)
-    out = dg.clear_market(dg.DispatchProblem((g,), 10.0, None, MODE_NODER))
+    out = dg.clear_market((g,), 10.0)
     assert out.clearing_price == 0.5
     assert out.cleared_generator == (10.0,)
     assert out.total_cost == pytest.approx(5.0)
     # the cheaper generator is marginal once the must-run output is dispatched
     cheap = dg.GeneratorSpec(kappa=0.25, qmax=5.0)
-    out = dg.clear_market(dg.DispatchProblem((g, cheap), 10.0, None, MODE_NODER))
+    out = dg.clear_market((g, cheap), 10.0)
     assert out.clearing_price == 0.25
     assert out.cleared_generator == (10.0, 0.0)
 
@@ -272,7 +269,7 @@ def test_cost_monotone_in_demand():
     curve = dg.aggregated_affine_curve(fig5_params())
     gens = (dg.GeneratorSpec(kappa=3.25),)
     costs = [
-        dg.clear_market(dg.DispatchProblem(gens, d, curve, MODE_AGGREGATED)).total_cost
+        dg.clear_market(gens, d, curve).total_cost
         for d in (12.0, 10.0, 8.0, 5.0, 2.0)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from deragg.equilibrium import meanfield_stackelberg
 from deragg.errors import ValidationError
 from deragg.market import GeneratorSpec
 from deragg.scenario import SolverSettings, apply_sweep_value, load_scenario, parse_scenario
+from workloads import TABULATED_SCENARIO
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -151,6 +153,38 @@ def test_integer_keys_reject_non_integral_values(tmp_path, capsys, key, value):
     assert "must be an integer" in capsys.readouterr().err
 
 
+TABLE = {"kind": "tabulated", "marginal_points": [[0.0, 3.4], [12.0, 2.8], [34.0, 1.9]]}
+
+
+@pytest.mark.parametrize("key,value,needle", [
+    (("scenario", "lambda_da"), "4.0", "scenario.lambda_da must be a number"),
+    (("scenario", "lambda_rt"), True, "scenario.lambda_rt must be a number"),
+    (("demand_per_prosumer",), "10", "demand_per_prosumer must be a number"),
+    (("solver", "tol_x"), "1e-8", "solver.tol_x must be a number"),
+    (("scenario", "capacity", "mu"), "10", "capacity.mu must be a number"),
+    (("scenario", "capacity", "sigma"), [3.3], "capacity.sigma must be a number"),
+    (("generators", 0, "kappa"), "3.25", "generators[0].kappa must be a number"),
+    (("generators", 0, "qmin"), {"v": 1}, "generators[0].qmin must be a number"),
+    (("sweep", "from"), "3.3", "sweep.from must be a number"),
+    (("scenario", "d0"), None, "scenario.d0 must be a number"),
+    (("scenario", "utility"), {**TABLE, "marginal_points": [[0, 3], 5]},
+     "utility.marginal_points must be a list of [number, number] pairs"),
+    (("scenario", "utility"), {**TABLE, "marginal_points": [[0, 3], [1, 2, 1]]},
+     "utility.marginal_points must be a list of [number, number] pairs"),
+    (("generators", 0, "segments"), [[3.0, "x"]], "generators[0].segments[0] must be a number"),
+    (("generators", 0, "segments"), None, "generators[0].segments must be a list"),
+], ids=["lambda_da-string", "lambda_rt-bool", "demand-string", "tol_x-string", "mu-string",
+        "sigma-list", "kappa-string", "qmin-object", "sweep-from-string", "d0-null",
+        "marginal_points-scalar", "marginal_points-triple", "segments-string", "segments-null"])
+def test_number_keys_and_pair_lists_reject_non_numbers(tmp_path, capsys, key, value, needle):
+    sweep = {"parameter": "sigma", "from": 3.3, "to": 5.77, "steps": 3}
+    payload = deep(BASE, (("sweep",), sweep), (key, value))
+    with pytest.raises(ValidationError, match=re.escape(needle)):
+        parse_scenario(payload)
+    code = cli.main(["validate", write_scenario(tmp_path, payload)])
+    assert_one_line_rejection(code, capsys, needle)
+
+
 def test_integer_keys_accept_integral_floats_and_keep_large_seeds():
     sf = parse_scenario(deep(BASE, (("scenario", "n_prosumers"), 2.0),
                              (("solver", "draws"), 1e4), (("solver", "seed"), 2**100)))
@@ -255,6 +289,22 @@ def test_cli_validate_closed_form_band(tmp_path, capsys):
     code = cli.main(["validate", path, "--closed-form"])
     assert code == cli.EXIT_ADMISSIBILITY
     assert "admissibility" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["iid.json", "deterministic.json", "tabulated"])
+def test_cli_closed_form_outside_its_model_exits_4(name, tmp_path, capsys):
+    # a valid scenario that is not dependent-uniform with linear utility
+    path = (write_scenario(tmp_path, TABULATED_SCENARIO) if name == "tabulated"
+            else str(SCENARIOS / name))
+    assert cli.main(["validate", path]) == cli.EXIT_OK
+    capsys.readouterr()
+    for argv in (["validate", path, "--closed-form"],
+                 ["poag", path, "--curve-source", "closedform"]):
+        assert cli.main(argv) == cli.EXIT_ADMISSIBILITY
+        assert capsys.readouterr().err == (
+            "admissibility error: closed forms need fully dependent uniform capacity "
+            "and linear utility\n"
+        )
 
 
 def test_cli_equilibrium_row(tmp_path, capsys):
