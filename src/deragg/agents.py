@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .capacity import CapacityModel, sample
-from .errors import ValidationError
+from .errors import ValidationError, as_number, as_pairs
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED, expected_penalty
 
 LINEAR = "linear"
@@ -32,13 +32,13 @@ class UtilitySpec:
 
     def __post_init__(self):
         if self.kind == LINEAR:
-            if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            if not (math.isfinite(as_number(self.gamma, "gamma")) and self.gamma > 0.0):
                 raise ValidationError(f"linear utility needs finite gamma > 0, got {self.gamma}")
             return
         if self.kind != TABULATED:
             raise ValidationError(f"unknown utility kind {self.kind!r}")
-        pts = self.marginal_points
-        if not pts or len(pts) < 2:
+        pts = as_pairs(self.marginal_points, "marginal_points")
+        if len(pts) < 2:
             raise ValidationError("tabulated utility needs at least two (z, marginal) points")
         z = np.asarray([p[0] for p in pts], dtype=float)
         m = np.asarray([p[1] for p in pts], dtype=float)
@@ -48,7 +48,7 @@ class UtilitySpec:
             raise ValidationError("tabulated z grid must be strictly increasing")
         if np.any(m < 0.0) or np.any(np.diff(m) > 1e-12):
             raise ValidationError("tabulated marginal utility must be nonnegative and nonincreasing")
-        object.__setattr__(self, "marginal_points", tuple((float(a), float(b)) for a, b in pts))
+        object.__setattr__(self, "marginal_points", pts)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,7 +84,7 @@ class UtilitySpec:
 
 
 def linear_utility(gamma: float) -> UtilitySpec:
-    return UtilitySpec(LINEAR, gamma=float(gamma))
+    return UtilitySpec(LINEAR, gamma=as_number(gamma, "gamma"))
 
 
 def tabulated_utility(points) -> UtilitySpec:
@@ -213,7 +213,6 @@ class SolverDiagnostics:
     refine_iterations: int
     concavity_ok: bool
     multiple_maxima: bool
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -392,9 +392,7 @@ def _offer_search(inverse, grid_points, tol):
     scenario = inverse.scenario
     lambda_da, n = scenario.lambda_da, scenario.n_prosumers
     if lambda_da <= inverse.bounds[0]:
-        notes = ("degenerate price interval; followers never offer",)
-        diag = SolverDiagnostics(0, 0, True, False, notes)
-        return 0.0, lambda_da, diag
+        return 0.0, lambda_da, SolverDiagnostics(0, 0, True, False)
 
     def profit(x):
         return (lambda_da - inverse(x)) * n * x
@@ -411,16 +409,10 @@ def _offer_search(inverse, grid_points, tol):
     concavity_ok = all(
         r - h <= 1e-9 * abs(r) for x, r, h in zip(xs, rs, on_hull) if r <= lambda_da * x
     )
-    notes = []
-    if multiple_maxima:
-        notes.append("lambda_da is the slope of an ironed hull edge; uniqueness condition may fail")
-    if not concavity_ok:
-        notes.append("profit not concave: a profitable offer lies above the hull of x * rho(x)")
-
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
-    diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima, tuple(notes))
+    diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima)
     return x_star, inverse(x_star), diag
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that raise them."""
+
+from numbers import Real
 
 
 class DerAggError(Exception):
@@ -35,3 +37,22 @@ class MarketInfeasibleError(DerAggError, ValueError):
     def __init__(self, message, shortfall):
         super().__init__(message)
         self.shortfall = shortfall
+
+
+def as_number(value, where: str) -> float:
+    """``value`` as a float: a real number (numpy's too), but not a bool."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{where} must be a number, got {value!r}")
+
+
+def as_pairs(points, where: str) -> tuple[tuple[float, float], ...]:
+    """``points`` as a tuple of float pairs: a list of [number, number] pairs."""
+    try:
+        pairs = tuple(map(tuple, points))
+    except TypeError:  # not iterable, or an entry that is not
+        pairs = ((),)
+    if not all(len(p) == 2 for p in pairs):
+        raise ValidationError(f"{where} must be a list of [number, number] pairs, got {points!r}")
+    return tuple((as_number(a, f"{where}[{k}]"), as_number(b, f"{where}[{k}]"))
+                 for k, (a, b) in enumerate(pairs))

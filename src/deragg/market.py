@@ -34,7 +34,7 @@ from .closedform import (
     inverse_supply_direct,
 )
 from .equilibrium import DEFAULT_GRID_POINTS, _InverseResponse
-from .errors import AdmissibilityError, MarketInfeasibleError, ValidationError
+from .errors import AdmissibilityError, MarketInfeasibleError, ValidationError, as_number, as_pairs
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 TIE_RULE = "pro-rata by remaining headroom at the clearing price"
@@ -58,6 +58,8 @@ class GeneratorSpec:
     segments: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        for name in ("kappa", "qmin", "qmax"):
+            as_number(getattr(self, name), name)
         if not (math.isfinite(self.kappa) and math.isfinite(self.qmin)) or math.isnan(self.qmax):
             raise ValidationError(
                 f"kappa and qmin must be finite and qmax not NaN, got "
@@ -66,7 +68,7 @@ class GeneratorSpec:
         if self.kappa < 0.0 or self.qmin < 0.0:
             raise ValidationError("kappa and qmin must be nonnegative")
         if self.segments is not None:
-            seg = tuple((float(p), float(w)) for p, w in self.segments)
+            seg = as_pairs(self.segments, "segments")
             prices = [p for p, _ in seg]
             widths = [w for _, w in seg]
             if not all(math.isfinite(v) for v in prices + widths):
@@ -463,6 +465,8 @@ def price_of_aggregation(
     noder = clear_market(generators, demand)  # first: the generators' own error wins
     report = PoAgReport(curve_source, clear_market(generators, demand, agg_curve),
                         clear_market(generators, demand, dir_curve), noder)
+    if report.cost_direct == 0.0:  # zero demand, or a free generator meets all of it
+        raise ValidationError("direct participation clears at zero cost: PoAg is undefined")
     # with dependent capacity the pooled offer never undercuts the direct one;
     # with iid capacity pooling hedges shortfalls and PoAg < 1 is genuine
     kappa_min = min(p for g in generators for p in g.offer.knot_prices())

@@ -7,11 +7,12 @@ constructors.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .agents import TABULATED, GameScenario, UtilitySpec, linear_utility, tabulated_utility
+from .agents import GameScenario, UtilitySpec, linear_utility, tabulated_utility
 from .capacity import (
     DEPENDENT_UNIFORM,
     DETERMINISTIC,
@@ -23,21 +24,22 @@ from .capacity import (
     iid_uniform,
 )
 from .equilibrium import DEFAULT_GRID_POINTS, DEFAULT_TOL_X
-from .errors import ValidationError
+from .errors import ValidationError, as_number, as_pairs
 from .market import GeneratorSpec
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 SCHEMA_VERSION = "1"
 
-SWEEPABLE = (
-    "sigma",
-    "mu",
-    "gamma",
-    "kappa",
-    "lambda_da",
-    "lambda_rt",
-    "demand_per_prosumer",
-)
+# each sweepable parameter and the key of the scenario file it replaces
+SWEEPABLE = {
+    "sigma": ("scenario", "capacity", "sigma"),
+    "mu": ("scenario", "capacity", "mu"),
+    "gamma": ("scenario", "utility", "gamma"),
+    "kappa": ("generators", 0, "kappa"),
+    "lambda_da": ("scenario", "lambda_da"),
+    "lambda_rt": ("scenario", "lambda_rt"),
+    "demand_per_prosumer": ("demand_per_prosumer",),
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class SweepSettings:
     def __post_init__(self):
         if self.parameter not in SWEEPABLE:
             raise ValidationError(
-                f"sweep parameter {self.parameter!r} not in {SWEEPABLE}"
+                f"sweep parameter {self.parameter!r} not in {tuple(SWEEPABLE)}"
             )
         if self.steps < 2:
             raise ValidationError("sweep needs at least 2 steps")
@@ -75,7 +77,7 @@ class SweepSettings:
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Full contents of one scenario file."""
+    """Full contents of one scenario file, and the mapping it was parsed from."""
 
     schema_version: str
     scenario: GameScenario
@@ -83,6 +85,7 @@ class ScenarioFile:
     demand_per_prosumer: float
     solver: SolverSettings
     sweep: SweepSettings | None
+    source: dict = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.demand_per_prosumer < 0.0:
@@ -116,31 +119,16 @@ def _integer(value, where: str) -> int:
     raise ValidationError(f"{where} must be an integer, got {value!r}")
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a float: an int or a float, but not a bool."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValidationError(f"{where} must be a number, got {value!r}")
-
-
-def _pairs(value, where: str) -> tuple[tuple[float, float], ...]:
-    """``value`` as a tuple of [number, number] pairs."""
-    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
-        raise ValidationError(f"{where} must be a list of [number, number] pairs, got {value!r}")
-    return tuple((_number(a, f"{where}[{k}]"), _number(b, f"{where}[{k}]"))
-                 for k, (a, b) in enumerate(value))
-
-
 def _capacity_from(obj) -> CapacityModel:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == DETERMINISTIC:
         f = _take(obj, "capacity", required=("kind", "cbar"))
-        return deterministic(_number(f["cbar"], "capacity.cbar"))
+        return deterministic(as_number(f["cbar"], "capacity.cbar"))
     if kind in (DEPENDENT_UNIFORM, IID_UNIFORM):
         f = _take(obj, "capacity", required=("kind", "mu", "sigma"), optional=("cbar",))
         maker = dependent_uniform if kind == DEPENDENT_UNIFORM else iid_uniform
-        cbar = _number(f["cbar"], "capacity.cbar") if "cbar" in f else None
-        return maker(_number(f["mu"], "capacity.mu"), _number(f["sigma"], "capacity.sigma"), cbar)
+        cbar = as_number(f["cbar"], "capacity.cbar") if "cbar" in f else None
+        return maker(as_number(f["mu"], "capacity.mu"), as_number(f["sigma"], "capacity.sigma"), cbar)
     raise ValidationError(f"capacity: unknown kind {kind!r}")
 
 
@@ -148,10 +136,10 @@ def _utility_from(obj) -> UtilitySpec:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "linear":
         f = _take(obj, "utility", required=("kind", "gamma"))
-        return linear_utility(_number(f["gamma"], "utility.gamma"))
+        return linear_utility(as_number(f["gamma"], "utility.gamma"))
     if kind == "tabulated":
         f = _take(obj, "utility", required=("kind", "marginal_points"))
-        return tabulated_utility(_pairs(f["marginal_points"], "utility.marginal_points"))
+        return tabulated_utility(as_pairs(f["marginal_points"], "utility.marginal_points"))
     raise ValidationError(f"utility: unknown kind {kind!r}")
 
 
@@ -160,10 +148,10 @@ def _generator_from(obj, idx) -> GeneratorSpec:
     f = _take(obj, where, required=("kappa",), optional=("qmin", "qmax", "segments"))
     qmax = f.get("qmax", None)
     return GeneratorSpec(
-        kappa=_number(f["kappa"], f"{where}.kappa"),
-        qmin=_number(f.get("qmin", 0.0), f"{where}.qmin"),
-        qmax=float("inf") if qmax is None else _number(qmax, f"{where}.qmax"),
-        segments=_pairs(f["segments"], f"{where}.segments") if "segments" in f else None,
+        kappa=as_number(f["kappa"], f"{where}.kappa"),
+        qmin=as_number(f.get("qmin", 0.0), f"{where}.qmin"),
+        qmax=float("inf") if qmax is None else as_number(qmax, f"{where}.qmax"),
+        segments=as_pairs(f["segments"], f"{where}.segments") if "segments" in f else None,
     )
 
 
@@ -185,11 +173,11 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
     )
     game = GameScenario(
         n_prosumers=_integer(sc["n_prosumers"], "scenario.n_prosumers"),
-        d0=_number(sc["d0"], "scenario.d0"),
+        d0=as_number(sc["d0"], "scenario.d0"),
         capacity=_capacity_from(sc["capacity"]),
         utility=_utility_from(sc["utility"]),
-        lambda_da=_number(sc["lambda_da"], "scenario.lambda_da"),
-        lambda_rt=_number(sc["lambda_rt"], "scenario.lambda_rt"),
+        lambda_da=as_number(sc["lambda_da"], "scenario.lambda_da"),
+        lambda_rt=as_number(sc["lambda_rt"], "scenario.lambda_rt"),
     )
     gens = top["generators"]
     if not isinstance(gens, list) or not gens:
@@ -206,7 +194,7 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
         solver = SolverSettings(
             draws=_integer(f.get("draws", solver.draws), "solver.draws"),
             seed=_integer(f.get("seed", solver.seed), "solver.seed"),
-            tol_x=_number(f.get("tol_x", solver.tol_x), "solver.tol_x"),
+            tol_x=as_number(f.get("tol_x", solver.tol_x), "solver.tol_x"),
             rho_grid_points=_integer(f.get("rho_grid_points", solver.rho_grid_points),
                                      "solver.rho_grid_points"),
         )
@@ -215,17 +203,18 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
         f = _take(top["sweep"], "sweep", required=("parameter", "from", "to", "steps"))
         sweep = SweepSettings(
             parameter=str(f["parameter"]),
-            start=_number(f["from"], "sweep.from"),
-            stop=_number(f["to"], "sweep.to"),
+            start=as_number(f["from"], "sweep.from"),
+            stop=as_number(f["to"], "sweep.to"),
             steps=_integer(f["steps"], "sweep.steps"),
         )
     return ScenarioFile(
         schema_version=SCHEMA_VERSION,
         scenario=game,
         generators=generators,
-        demand_per_prosumer=_number(top["demand_per_prosumer"], "demand_per_prosumer"),
+        demand_per_prosumer=as_number(top["demand_per_prosumer"], "demand_per_prosumer"),
         solver=solver,
         sweep=sweep,
+        source=data,
     )
 
 
@@ -253,36 +242,19 @@ def load_scenario(path) -> ScenarioFile:
 
 
 def apply_sweep_value(sf: ScenarioFile, parameter: str, value: float) -> ScenarioFile:
-    """Copy of the scenario file with one swept parameter substituted."""
-    game = sf.scenario
-    cap = game.capacity
-    if parameter in ("sigma", "mu"):
-        if cap.kind == DETERMINISTIC:
-            raise ValidationError(f"cannot sweep {parameter!r} on deterministic capacity")
-        mu = value if parameter == "mu" else cap.mu
-        sigma = value if parameter == "sigma" else cap.sigma
-        maker = dependent_uniform if cap.kind == DEPENDENT_UNIFORM else iid_uniform
-        # an explicit cbar above the support stays; a default one follows the support
-        new_cap = maker(mu, sigma, cap.cbar if cap.cbar > cap.support[1] else None)
-        # keep d0 above the (possibly grown) installed capacity; with linear
-        # utility d0 never affects best responses, only a payoff constant
-        d0 = max(game.d0, new_cap.cbar * (1.0 + 1e-9) + 1e-9)
-        game = replace(game, capacity=new_cap, d0=d0)
-    elif parameter == "gamma":
-        if game.utility.kind == TABULATED:
-            # the table, not gamma, gives a tabulated utility's marginal
-            raise ValidationError("cannot sweep gamma on a tabulated utility")
-        game = replace(game, utility=linear_utility(value))
-    elif parameter in ("lambda_da", "lambda_rt"):
-        game = replace(game, **{parameter: value})
-    elif parameter == "kappa":
-        if sf.generators[0].segments is not None:
-            # the segments, not kappa, price a segmented generator's output
-            raise ValidationError("cannot sweep kappa on a generator with segments")
-        gens = (replace(sf.generators[0], kappa=value),) + sf.generators[1:]
-        return replace(sf, generators=gens)
-    elif parameter == "demand_per_prosumer":
-        return replace(sf, demand_per_prosumer=value)
-    else:
-        raise ValidationError(f"unknown sweep parameter {parameter!r}")
-    return replace(sf, scenario=game)
+    """The scenario file with the swept parameter's key set to ``value``.
+
+    The point is parsed and checked as a file is, and keeps ``sf.solver``.
+    """
+    if parameter == "kappa" and sf.generators[0].segments is not None:
+        # the segments, not kappa, price a segmented generator's output
+        raise ValidationError("cannot sweep kappa on a generator with segments")
+    data = copy.deepcopy(sf.source)
+    *parents, key = SWEEPABLE[parameter]
+    node = data
+    for k in parents:
+        node = node[k]
+    if key not in node:  # e.g. sigma on deterministic capacity
+        raise ValidationError(f"cannot sweep {parameter!r} on {node['kind']} {parents[-1]}")
+    node[key] = value
+    return replace(parse_scenario(data), solver=sf.solver)

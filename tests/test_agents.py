@@ -13,6 +13,8 @@ from conftest import make_scenario
 def test_linear_utility_validation():
     with pytest.raises(dg.ValidationError):
         dg.linear_utility(0.0)
+    with pytest.raises(dg.ValidationError, match="gamma must be a number"):
+        dg.linear_utility("3")
     u = dg.linear_utility(2.5)
     assert u.value(4.0) == 10.0
     assert u.marginal(123.0) == 2.5
@@ -26,6 +28,8 @@ def test_tabulated_utility_hook():
     assert u.value(10.0) == pytest.approx(25.0, rel=1e-3)
     with pytest.raises(dg.ValidationError):
         dg.tabulated_utility([(0.0, 1.0), (1.0, 2.0)])  # increasing marginal
+    with pytest.raises(dg.ValidationError, match="pairs"):
+        dg.tabulated_utility([(0.0, 3.0), 5.0])
 
 
 def test_tabulated_utility_value_is_exact_and_batch_independent():

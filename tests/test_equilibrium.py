@@ -319,7 +319,6 @@ def test_hull_diagnostics_on_an_ironed_edge():
         diag = res.diagnostics
         assert diag.multiple_maxima is expected
         assert not diag.concavity_ok
-        assert any("uniqueness" in note for note in diag.notes) is expected
 
 
 def _count_foc_calls(monkeypatch, scenario_file):

@@ -29,6 +29,8 @@ def test_generator_validation_and_supply():
         dg.GeneratorSpec(kappa=-1.0)
     with pytest.raises(dg.ValidationError):
         dg.GeneratorSpec(kappa=1.0, qmin=5.0, qmax=2.0)
+    with pytest.raises(dg.ValidationError, match="kappa must be a number"):
+        dg.GeneratorSpec(kappa="3")
 
 
 def test_generator_piecewise_segments():
@@ -40,6 +42,8 @@ def test_generator_piecewise_segments():
     assert g.offer.cost_integral(7.0) == pytest.approx(1.0 * 5.0 + 2.0 * 2.0)
     with pytest.raises(dg.ValidationError):
         dg.GeneratorSpec(kappa=1.0, segments=((2.0, 5.0), (1.0, 5.0)))
+    with pytest.raises(dg.ValidationError, match="pairs"):
+        dg.GeneratorSpec(kappa=1.0, segments=((1.0,),))
 
 
 def test_affine_curve_round_trip():
@@ -303,6 +307,12 @@ def test_poag_is_one_when_der_not_competitive(fig3_scenario):
     assert rep.outcome_aggregated.cleared_der == 0.0
     assert rep.outcome_direct.cleared_der == 0.0
     assert rep.poag == 1.0
+
+
+def test_poag_is_undefined_where_direct_participation_costs_nothing(fig3_scenario):
+    # PoAg = C_agg / C_direct, and a free generator meets all demand in both modes
+    with pytest.raises(dg.ValidationError, match="zero cost"):
+        dg.price_of_aggregation(fig3_scenario, (dg.GeneratorSpec(kappa=0.0),), 10.0)
 
 
 def test_cleared_halving_across_sigma_band(fig3_scenario):

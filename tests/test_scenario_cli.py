@@ -95,10 +95,14 @@ def test_sweep_parsing_and_application():
     assert sf.sweep.steps == 5
     moved = apply_sweep_value(sf, "sigma", 5.0)
     assert moved.scenario.capacity.sigma == 5.0
+    assert moved.solver == sf.solver
     moved = apply_sweep_value(sf, "kappa", 3.4)
     assert moved.generators[0].kappa == 3.4
     with pytest.raises(ValidationError):
         parse_scenario(deep(payload, (("sweep", "parameter"), "voltage")))
+    deterministic = load_scenario(SCENARIOS / "deterministic.json")
+    with pytest.raises(ValidationError, match="cannot sweep 'sigma' on deterministic capacity"):
+        apply_sweep_value(deterministic, "sigma", 3.0)
 
 
 def test_kappa_sweep_rejected_on_segmented_generator():
@@ -111,14 +115,31 @@ def test_kappa_sweep_rejected_on_segmented_generator():
 
 
 def test_sigma_and_mu_sweeps_keep_an_explicit_cbar():
-    # a cbar above the support top stays put; a default cbar follows the support
+    # an explicit cbar stays put, even one equal to the support top; a
+    # default cbar follows the support
     iid = json.loads((SCENARIOS / "iid.json").read_text(encoding="utf-8"))
     explicit = parse_scenario(deep(iid, (("scenario", "capacity", "cbar"), 20),
                                    (("scenario", "d0"), 25)))
     for parameter, value in (("sigma", 3.5), ("mu", 9.0)):
         assert apply_sweep_value(explicit, parameter, value).scenario.capacity.cbar == 20.0
+    top = 10.0 + math.sqrt(3.0) * 3.3
+    at_top = parse_scenario(deep(BASE, (("scenario", "capacity", "cbar"), top)))
+    assert apply_sweep_value(at_top, "sigma", 3.0).scenario.capacity.cbar == top
+    with pytest.raises(ValidationError, match="exceeds cbar"):
+        apply_sweep_value(at_top, "sigma", 3.5)
     moved = apply_sweep_value(load_scenario(SCENARIOS / "base.json"), "sigma", 3.5)
     assert moved.scenario.capacity.cbar == moved.scenario.capacity.support[1]
+
+
+def test_mu_sweep_point_that_outgrows_d0_fails_as_the_file_would():
+    # d0 stays as the file sets it: a point whose capacity outgrows it is
+    # rejected with the loader's own message
+    base = json.loads((SCENARIOS / "base.json").read_text(encoding="utf-8"))
+    with pytest.raises(ValidationError, match="d0=20.0 must exceed") as loaded:
+        parse_scenario(deep(base, (("scenario", "capacity", "mu"), 16.0)))
+    with pytest.raises(ValidationError) as swept:
+        apply_sweep_value(parse_scenario(base), "mu", 16.0)
+    assert str(swept.value) == str(loaded.value)
 
 
 def test_gamma_sweep_rejected_on_tabulated_utility(tmp_path, capsys):
@@ -127,7 +148,7 @@ def test_gamma_sweep_rejected_on_tabulated_utility(tmp_path, capsys):
     table = {"kind": "tabulated", "marginal_points": [[0.0, 3.4], [12.0, 2.8], [34.0, 1.9]]}
     payload = deep(BASE, (("scenario", "utility"), table),
                    (("sweep",), {"parameter": "gamma", "from": 2.0, "to": 2.5, "steps": 2}))
-    with pytest.raises(ValidationError, match="tabulated"):
+    with pytest.raises(ValidationError, match="cannot sweep 'gamma' on tabulated utility"):
         apply_sweep_value(parse_scenario(payload), "gamma", 2.0)
     assert cli.main(["sweep", write_scenario(tmp_path, payload)]) == cli.EXIT_SOLVER
     rows = read_table(capsys.readouterr().out)
@@ -407,6 +428,19 @@ def test_cli_sweep_marks_failed_points(tmp_path, capsys):
     assert rows[0]["status"].startswith("failed:")
     assert rows[0]["poag"] == ""  # no NaN cells
     assert rows[-1]["status"] == "ok"
+
+
+def test_cli_poag_and_sweep_where_direct_participation_costs_nothing(tmp_path, capsys):
+    # PoAg = C_agg / C_direct is undefined at zero demand: poag exits 2 and a
+    # sweep marks that point alone failed
+    assert cli.main(["poag", write_scenario(tmp_path, deep(BASE, (("demand_per_prosumer",), 0)))]
+                    ) == cli.EXIT_INVALID
+    assert "zero cost" in capsys.readouterr().err
+    sweep = {"parameter": "demand_per_prosumer", "from": 0, "to": 10, "steps": 3}
+    assert cli.main(["sweep", write_scenario(tmp_path, deep(BASE, (("sweep",), sweep)))]
+                    ) == cli.EXIT_SOLVER
+    status = [r["status"] for r in read_table(capsys.readouterr().out)]
+    assert "zero cost" in status[0] and status[1:] == ["ok", "ok"]
 
 
 def test_cli_figures_fig5_ordering(tmp_path):
