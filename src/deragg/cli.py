@@ -125,7 +125,7 @@ def _write(args, sf: ScenarioFile, rows: list[dict], **meta) -> None:
     """The rows as CSV to ``--out``, after the run's metadata and ``meta``."""
     s = sf.solver
     head = {"schema_version": sf.schema_version, "seed": s.seed, "draws": s.draws,
-            "tol_x": s.tol_x, "build": f"deragg-{__version__}", **meta}
+            "build": f"deragg-{__version__}", **meta}
     _emit(_render_csv(head, rows), args.out)
 
 
@@ -133,8 +133,7 @@ def _solve(sf: ScenarioFile, mean_field: bool = False):
     """The finite-N or mean-field equilibrium under the scenario file's solver settings."""
     s = sf.solver
     leader = meanfield_stackelberg if mean_field else stackelberg_solve
-    return leader(sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points,
-                  draws=s.draws, seed=s.seed)
+    return leader(sf.scenario, grid_points=s.rho_grid_points, draws=s.draws, seed=s.seed)
 
 
 def _penalty_axiom_issues(seed: int, instances: int = 10_000) -> list[str]:
@@ -372,7 +371,7 @@ def cmd_figures(args) -> int:
     # nothing here samples, but a bad draws override is still an error
     seed = _settings(args, SolverSettings()).seed
     os.makedirs(args.out, exist_ok=True)
-    # every figure is a closed form: no solver tolerance or draw count applies
+    # every figure is a closed form: no draw count applies
     meta = {"schema_version": "1", "seed": seed, "build": f"deragg-{__version__}"}
     written = []
     for filename, rows in _figure_tables(args.name):

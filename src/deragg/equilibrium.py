@@ -68,9 +68,12 @@ from .capacity import (
 from .errors import SolverError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
-DEFAULT_TOL_X = 1e-8
 DEFAULT_GRID_POINTS = 256
 MAX_BISECT_ITER = 200
+# where each search stops, as a fraction of cbar: the game has no unit of
+# capacity, so a scenario in other units solves to the same precision
+_LEADER_TOL = 1e-9  # the leader's golden section in _offer_search
+_FORWARD_TOL = 1e-12  # the bisection of rho(x) = rho in _InverseResponse.forward
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -245,11 +248,10 @@ def follower_foc_gap(
 
 
 def symmetric_follower_response(
-    scenario: GameScenario, rho: float, tol_x: float = DEFAULT_TOL_X,
-    draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED,
+    scenario: GameScenario, rho: float, draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED
 ) -> float:
     """Unique symmetric Nash offer x*(rho), with exact boundary handling."""
-    return _InverseResponse(scenario, draws, seed).forward(rho, tol_x)
+    return _InverseResponse(scenario, draws, seed).forward(rho)
 
 
 class _InverseResponse:
@@ -331,9 +333,9 @@ class _InverseResponse:
             hull.append(i)
         return xs, rs, hull
 
-    def forward(self, rho: float, tol: float) -> float:
-        """The offer x at which rho(x) = rho: 0 at or below rho_min, cbar at or above rho_max."""
-        _check_tol(tol)
+    def forward(self, rho: float) -> float:
+        """The offer x at which rho(x) = rho, bisected to a bracket of
+        ``_FORWARD_TOL * cbar``: 0 at or below rho_min, cbar at or above rho_max."""
         if not math.isfinite(rho):
             raise ValidationError(f"price must be finite, got {rho}")
         rho_min, rho_max = self.bounds
@@ -342,12 +344,12 @@ class _InverseResponse:
             return 0.0
         if rho >= rho_max:
             return cbar
+        tol = _FORWARD_TOL * cbar
         return _bisect_decreasing(lambda x: rho - self(x), 0.0, cbar, tol, MAX_BISECT_ITER)[0]
 
 
 def stackelberg_solve(
     scenario: GameScenario,
-    tol_x: float = DEFAULT_TOL_X,
     grid_points: int = DEFAULT_GRID_POINTS,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
@@ -356,9 +358,10 @@ def stackelberg_solve(
 
     The leader picks the pooled offer: the best vertex at lambda_da of the
     lower convex hull of x * rho(x) over ``grid_points`` offers on [0, cbar]
-    plus the support ends, refined by golden section to ``tol_x`` between
-    its neighbouring offers.  The offer table costs one FOC evaluation
-    (one per offer with the Monte-Carlo coverage term, iid N >= 2), each
+    plus the support ends, refined by golden section between its
+    neighbouring offers to a bracket of ``_LEADER_TOL * cbar``.  The offer
+    table costs one FOC evaluation (one per offer with the Monte-Carlo
+    coverage term, iid N >= 2), each
     golden step one more, the vertex's profit one and the posted price
     rho* = rho(x*) one.  Where rho(x) is flat the followers are indifferent
     along the run, the hull skips it, and the leader buys its largest
@@ -367,11 +370,11 @@ def stackelberg_solve(
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
-    x_star, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
+    x_star, rho_star, diag = _offer_search(inverse, grid_points)
     return EquilibriumResult(scenario, rho_star, x_star, diag)
 
 
-def _offer_search(inverse, grid_points, tol):
+def _offer_search(inverse, grid_points):
     """Maximise the leader profit (lambda_da - rho(x)) * N * x over x in [0, cbar].
 
     With lambda_da at or below rho_min no offer is profitable: the leader
@@ -379,16 +382,15 @@ def _offer_search(inverse, grid_points, tol):
     the vertex of the lower convex hull of R(x) = x * rho(x) that
     maximises lambda_da * x - R(x), the one whose adjacent edge slopes
     bracket lambda_da.  Golden section refines between the offers on
-    either side of it, and the vertex itself stays a candidate.  Both
-    diagnostics are facts about the hull: the profit is concave on the
-    offers if every offer with rho(x) <= lambda_da lies on it, and the
-    maximiser may not be unique if lambda_da is the slope of an ironed
-    edge (one that skips offers) next to the chosen vertex.
-    Returns (x*, rho(x*), diagnostics).
+    either side of it, to a bracket of ``_LEADER_TOL * cbar``, and the
+    vertex itself stays a candidate.  Both diagnostics are facts about
+    the hull: the profit is concave on the offers if every offer with
+    rho(x) <= lambda_da lies on it, and the maximiser may not be unique
+    if lambda_da is the slope of an ironed edge (one that skips offers)
+    next to the chosen vertex.  Returns (x*, rho(x*), diagnostics).
     """
     if grid_points < 4:
         raise ValidationError("grid_points must be at least 4")
-    _check_tol(tol)
     scenario = inverse.scenario
     lambda_da, n = scenario.lambda_da, scenario.n_prosumers
     if lambda_da <= inverse.bounds[0]:
@@ -410,7 +412,7 @@ def _offer_search(inverse, grid_points, tol):
         r - h <= 1e-9 * abs(r) for x, r, h in zip(xs, rs, on_hull) if r <= lambda_da * x
     )
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
-    x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
+    x_ref, prof_ref, iters = _golden_max(profit, a, b, _LEADER_TOL * scenario.capacity.cbar)
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
     diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima)
     return x_star, inverse(x_star), diag
@@ -460,22 +462,22 @@ class _MeanFieldInverse(_InverseResponse):
 
 
 def meanfield_solve(
-    scenario: GameScenario, rho: float, tol: float = 1e-12, _inverse: _MeanFieldInverse | None = None
+    scenario: GameScenario, rho: float, _inverse: _MeanFieldInverse | None = None
 ) -> MeanFieldSolution:
     """Solve the large-N system  beta*F(x) = (rho - E[u'])/lambda_rt  with
     beta = (x - E[C])+ / E[(x - C)+].
 
     Bisects the monotone mean-field inverse response rho(x) = rho to an
-    offer bracket of width ``tol``; beta follows from x.  At indifference
-    (rho = rho_min) the maximal offer x* = E[C] is returned, matching the
-    large-N equilibrium path.  Where the offer cap binds, beta = 1 and the
+    offer bracket of width ``_FORWARD_TOL * cbar``; beta follows from x.
+    At indifference (rho = rho_min) the maximal offer x* = E[C] is
+    returned, matching the large-N equilibrium path.  Where the offer cap binds, beta = 1 and the
     cap multiplier carries the gap.  ``_inverse`` is a mean-field inverse
     response of ``scenario`` that a leader search has already built; a call
     without it reads E[u'] off the default draws and seed.
     """
     inverse = _inverse or _MeanFieldInverse(scenario, DEFAULT_DRAWS, DEFAULT_SEED)
     model = scenario.capacity
-    x = inverse.forward(rho, tol)
+    x = inverse.forward(rho)
     if rho == inverse.bounds[0]:
         x = min(model.mean, model.cbar)
     return MeanFieldSolution(_meanfield_beta(model, x), x)
@@ -483,7 +485,6 @@ def meanfield_solve(
 
 def meanfield_stackelberg(
     scenario: GameScenario,
-    tol_x: float = DEFAULT_TOL_X,
     grid_points: int = DEFAULT_GRID_POINTS,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
@@ -496,7 +497,7 @@ def meanfield_stackelberg(
     the Monte-Carlo E[u'] of a tabulated utility; a linear one samples none.
     """
     inverse = _MeanFieldInverse(scenario, draws, seed)
-    _, rho_star, diag = _offer_search(inverse, grid_points, tol_x)
+    _, rho_star, diag = _offer_search(inverse, grid_points)
     sol = meanfield_solve(scenario, rho_star, _inverse=inverse)
     return EquilibriumResult(scenario, rho_star, sol.x_star, diag), sol
 
@@ -543,11 +544,6 @@ def _warn_if_off_band(scenario: GameScenario) -> None:
             "numeric equilibrium remains defined but has no closed-form counterpart",
             stacklevel=3,
         )
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"solver tolerance must be positive and finite, got {tol}")
 
 
 def _bisect_decreasing(fn, lo, hi, tol, max_iter):

@@ -23,7 +23,7 @@ from .capacity import (
     deterministic,
     iid_uniform,
 )
-from .equilibrium import DEFAULT_GRID_POINTS, DEFAULT_TOL_X
+from .equilibrium import DEFAULT_GRID_POINTS
 from .errors import ValidationError, as_number, as_pairs
 from .market import GeneratorSpec
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
@@ -46,7 +46,6 @@ SWEEPABLE = {
 class SolverSettings:
     draws: int = DEFAULT_DRAWS
     seed: int = DEFAULT_SEED
-    tol_x: float = DEFAULT_TOL_X
     rho_grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class SolverSettings:
         if self.rho_grid_points < 4:
             raise ValidationError(f"rho_grid_points must be >= 4, got {self.rho_grid_points}")
         check_seed(self.seed)
-        if self.tol_x <= 0.0:
-            raise ValidationError(f"tol_x must be positive, got {self.tol_x}")
 
 
 @dataclass(frozen=True)
@@ -188,13 +185,12 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
     if "solver" in top:
         f = _take(
             top["solver"], "solver",
-            # older files still set the retired price tolerance: accepted, ignored
+            # older files still set the retired tolerances: accepted, ignored
             optional=("draws", "seed", "tol_x", "tol_rho", "rho_grid_points"),
         )
         solver = SolverSettings(
             draws=_integer(f.get("draws", solver.draws), "solver.draws"),
             seed=_integer(f.get("seed", solver.seed), "solver.seed"),
-            tol_x=as_number(f.get("tol_x", solver.tol_x), "solver.tol_x"),
             rho_grid_points=_integer(f.get("rho_grid_points", solver.rho_grid_points),
                                      "solver.rho_grid_points"),
         )

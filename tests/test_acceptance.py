@@ -101,7 +101,7 @@ def test_criterion_3_offer_curve_slope_and_price():
     expected_slope = 2.0 * dg.SQRT3 * 3.3 / 4.0
     rhos = np.linspace(2.75, 6.25, 21)
     xs = np.array([
-        dg.symmetric_follower_response(sc, float(r), tol_x=1e-12)
+        dg.symmetric_follower_response(sc, float(r))
         for r in rhos
     ])
     slope, intercept = np.polyfit(rhos, xs, 1)

@@ -151,9 +151,9 @@ def test_coverage_term_matches_exact_two_prosumer_formula(iid2_scenario):
         assert coverage_by_quadrature(sc, x, m=2001) == pytest.approx(exact, abs=2e-4)
 
 
-def _coverage_setup(n, draws):
-    cap = dg.iid_uniform(10.0, 3.3, cbar=18.0)
-    sc = dg.GameScenario(n, 30.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
+def _coverage_setup(n, draws, scale=1.0):
+    cap = dg.iid_uniform(10.0 * scale, 3.3 * scale, cbar=18.0 * scale)
+    sc = dg.GameScenario(n, 30.0 * scale, cap, dg.linear_utility(2.5), 4.0, 4.0)
     caps = dg.sample(cap, n, 3, draws)
     return sc, caps, _coverage_layout(caps)
 
@@ -183,9 +183,9 @@ def test_coverage_kernel_matches_reference_formula(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_coverage_layout_orders_the_draws_whose_event_can_fire(n):
+def test_coverage_layout_orders_the_draws_whose_event_can_fire(n, scale=1.0):
     draws = 2000
-    sc, caps, layout = _coverage_setup(n, draws)
+    sc, caps, layout = _coverage_setup(n, draws, scale)
     kept = np.column_stack([layout.own, *layout.rivals])  # in layout order
     can_fire = caps[:, 0] < caps[:, 1:].max(axis=1)
     live, dropped = caps[can_fire], caps[~can_fire]
@@ -203,8 +203,17 @@ def test_coverage_layout_orders_the_draws_whose_event_can_fire(n):
         ref = coverage_reference(kept, x)
         assert np.all(ref[k:] == 0.0), "a draw in the event lies past the reduced prefix"
         assert np.all(coverage_reference(dropped, x) == 0.0)
-        assert np.all(opens[:k] <= x + 1e-12), "the prefix holds a draw whose event opens later"
-        assert np.all(opens[k:] > x - 1e-12)
+        slack = 1e-12 * scale
+        assert np.all(opens[:k] <= x + slack), "the prefix holds a draw whose event opens later"
+        assert np.all(opens[k:] > x - slack)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_coverage_layout_margin_scales_with_the_capacities(n, scale):
+    # a rounding margin that does not grow with the capacities is too small
+    # at a large enough scale: the event of a draw then opens below its key
+    test_coverage_layout_orders_the_draws_whose_event_can_fire(n, scale)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -291,6 +300,15 @@ def test_stackelberg_deterministic_buys_everything_at_indifference():
         assert res.leader_profit == (4.0 - 2.5) * n * 10.0
 
 
+def test_zero_capacity_solves_where_every_search_tolerance_is_zero():
+    # both searches stop at a fraction of cbar, which is 0 here
+    sc = make_scenario(kind="deterministic", mu=0.0)
+    res = dg.stackelberg_solve(sc)
+    assert (res.rho_star, res.x_star) == (2.5, 0.0)
+    for rho in (2.0, 2.5, 4.0, 6.5, 7.0):
+        assert dg.symmetric_follower_response(sc, rho) == 0.0
+
+
 def test_stackelberg_deterministic_tabulated_matches_hand_optimum():
     # rho(x) = u'(21 - x) rises from 2.26 to 2.85 with a kink at x = 9, and the
     # profit (4 - rho(x)) * x rises on all of [0, 10]: x* = cbar, rho* = u'(11)
@@ -330,7 +348,7 @@ def _count_foc_calls(monkeypatch, scenario_file):
     monkeypatch.setattr(dg.equilibrium, "follower_foc_gap",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     res = dg.stackelberg_solve(
-        sf.scenario, tol_x=s.tol_x, grid_points=s.rho_grid_points, draws=s.draws, seed=s.seed
+        sf.scenario, grid_points=s.rho_grid_points, draws=s.draws, seed=s.seed
     )
     offers = _InverseResponse(sf.scenario, s.draws, s.seed).offers(s.rho_grid_points)
     assert res.diagnostics.grid_points == len(offers)
@@ -542,15 +560,15 @@ def test_forward_response_inverts_inverse_response(case):
         "tabulated": _tabulated_scenario,
         "deterministic-tabulated": _deterministic_tabulated_scenario,
     }[case]()
-    draws, seed, tol_x = 20_000, 7, 1e-8
+    draws, seed = 20_000, 7
     rho = _InverseResponse(sc, draws, seed)
     lo, hi = sc.capacity.support
     if lo == hi:
         # certain capacity: rho(x) = u'(d0 + cbar - x) rises on all of [0, cbar]
         lo = 0.0
     for x in np.linspace(lo, hi, 22)[1:-1]:
-        got = dg.symmetric_follower_response(sc, rho(float(x)), tol_x=tol_x, draws=draws, seed=seed)
-        assert got == pytest.approx(x, abs=tol_x)
+        got = dg.symmetric_follower_response(sc, rho(float(x)), draws=draws, seed=seed)
+        assert got == pytest.approx(x, abs=1e-8)
 
 
 @pytest.mark.parametrize("leader", [dg.stackelberg_solve, dg.meanfield_stackelberg])
@@ -575,18 +593,6 @@ def test_meanfield_solve_inverts_explicit_inverse_response():
         beta = min((x - 10.0) / dg.expected_shortfall(model, x), 1.0)
         rho = 2.5 + 4.0 * beta * dg.cdf_marginal(model, x)
         assert dg.meanfield_solve(sc, rho).x_star == pytest.approx(x, abs=1e-9)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("solve", [
-    lambda sc, tol: dg.stackelberg_solve(sc, tol_x=tol, grid_points=8, draws=2000),
-    lambda sc, tol: dg.meanfield_stackelberg(sc, tol_x=tol, grid_points=8),
-    lambda sc, tol: dg.symmetric_follower_response(sc, 3.0, tol_x=tol, draws=2000),
-    lambda sc, tol: dg.meanfield_solve(sc, 3.0, tol=tol),
-], ids=["stackelberg_solve", "meanfield_stackelberg", "follower_response", "meanfield_solve"])
-def test_solvers_reject_non_finite_or_nonpositive_tolerance(solve, tol):
-    with pytest.raises(dg.ValidationError, match="tolerance must be positive and finite"):
-        solve(make_scenario(kind="iid", n=4), tol)
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])

@@ -181,7 +181,6 @@ TABLE = {"kind": "tabulated", "marginal_points": [[0.0, 3.4], [12.0, 2.8], [34.0
     (("scenario", "lambda_da"), "4.0", "scenario.lambda_da must be a number"),
     (("scenario", "lambda_rt"), True, "scenario.lambda_rt must be a number"),
     (("demand_per_prosumer",), "10", "demand_per_prosumer must be a number"),
-    (("solver", "tol_x"), "1e-8", "solver.tol_x must be a number"),
     (("scenario", "capacity", "mu"), "10", "capacity.mu must be a number"),
     (("scenario", "capacity", "sigma"), [3.3], "capacity.sigma must be a number"),
     (("generators", 0, "kappa"), "3.25", "generators[0].kappa must be a number"),
@@ -194,7 +193,7 @@ TABLE = {"kind": "tabulated", "marginal_points": [[0.0, 3.4], [12.0, 2.8], [34.0
      "utility.marginal_points must be a list of [number, number] pairs"),
     (("generators", 0, "segments"), [[3.0, "x"]], "generators[0].segments[0] must be a number"),
     (("generators", 0, "segments"), None, "generators[0].segments must be a list"),
-], ids=["lambda_da-string", "lambda_rt-bool", "demand-string", "tol_x-string", "mu-string",
+], ids=["lambda_da-string", "lambda_rt-bool", "demand-string", "mu-string",
         "sigma-list", "kappa-string", "qmin-object", "sweep-from-string", "d0-null",
         "marginal_points-scalar", "marginal_points-triple", "segments-string", "segments-null"])
 def test_number_keys_and_pair_lists_reject_non_numbers(tmp_path, capsys, key, value, needle):
@@ -335,6 +334,23 @@ def test_cli_equilibrium_row(tmp_path, capsys):
     assert row["concavity_ok"] == "true"
 
 
+@pytest.mark.parametrize("key", ["tol_x", "tol_rho"])
+def test_cli_ignores_a_retired_solver_tolerance(tmp_path, capsys, key):
+    # each search stops at a fixed fraction of cbar, whatever an older file sets
+    outs = []
+    for payload in (BASE, deep(BASE, (("solver", key), 1e-3))):
+        assert cli.main(["equilibrium", write_scenario(tmp_path, payload)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_cli_equilibrium_at_zero_capacity(tmp_path, capsys):
+    zero = deep(BASE, (("scenario", "capacity"), {"kind": "deterministic", "cbar": 0.0}))
+    assert cli.main(["equilibrium", write_scenario(tmp_path, zero)]) == 0
+    row = read_table(capsys.readouterr().out)[0]
+    assert (float(row["rho_star"]), float(row["x_star"])) == (2.5, 0.0)
+
+
 def test_cli_mean_field_reads_the_solve_draws_and_seed(tmp_path, capsys):
     # with a tabulated utility E[u'] is Monte Carlo: the mean field must read
     # it off the draws and seed that the CSV header names
@@ -353,8 +369,8 @@ def test_cli_mean_field_reads_the_solve_draws_and_seed(tmp_path, capsys):
     rho_1, rho_2 = (float(read_table(out)[0]["rho_star"]) for out in outs[:2])
     assert rho_1 != rho_2
     sf = load_scenario(path)
-    res, _ = meanfield_stackelberg(sf.scenario, tol_x=sf.solver.tol_x,
-                                   grid_points=sf.solver.rho_grid_points, draws=5000, seed=1)
+    res, _ = meanfield_stackelberg(sf.scenario, grid_points=sf.solver.rho_grid_points,
+                                   draws=5000, seed=1)
     assert read_table(outs[0])[0]["rho_star"] == f"{res.rho_star:.10g}"
 
 
