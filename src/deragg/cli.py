@@ -3,12 +3,17 @@ clear markets, run sweeps, and emit figure-ready CSV files.
 
 Exit codes: 0 ok, 2 invalid scenario, 3 solver non-convergence,
 4 closed-form admissibility violation.
+
+``main(argv)`` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it after that, and it looks
+up the ``cmd_<command>`` handler on this module at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -222,8 +227,11 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_supply_curve(args) -> int:
     sf = _load(args)
-    build = build_supply_curve_aggregated if args.mode == "agg" else build_supply_curve_direct
-    curve = build(sf.scenario, draws=sf.solver.draws, seed=sf.solver.seed)
+    s = sf.solver
+    if args.mode == "agg":
+        curve = build_supply_curve_aggregated(sf.scenario, s.rho_grid_points, s.draws, s.seed)
+    else:
+        curve = build_supply_curve_direct(sf.scenario, draws=s.draws, seed=s.seed)
     _write(args, sf, [{"quantity": q, "price": p} for q, p in curve.breakpoints])
     return EXIT_OK
 
@@ -233,8 +241,9 @@ def cmd_dispatch(args) -> int:
     demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
     curve = None
     if args.mode != "noder":
-        agg, direct, _ = der_curves(sf.scenario, args.curve_source, sf.solver.draws,
-                                    sf.solver.seed)
+        s = sf.solver
+        agg, direct, _ = der_curves(sf.scenario, args.curve_source, s.draws, s.seed,
+                                    s.rho_grid_points)
         curve = agg if args.mode == "agg" else direct
     outcome = clear_market(sf.generators, demand, curve)
     _write(args, sf, [{
@@ -249,9 +258,10 @@ def cmd_dispatch(args) -> int:
 
 def _poag(sf: ScenarioFile, curve_source: str):
     """The PoAg report of the scenario file and its six shared CSV columns."""
+    s = sf.solver
     rep = price_of_aggregation(
         sf.scenario, sf.generators, sf.demand_per_prosumer,
-        curve_source=curve_source, draws=sf.solver.draws, seed=sf.solver.seed,
+        curve_source=curve_source, draws=s.draws, seed=s.seed, grid_points=s.rho_grid_points,
     )
     return rep, {
         "cost_aggregated": rep.cost_aggregated, "cost_direct": rep.cost_direct,
@@ -392,6 +402,7 @@ def _add_common(sub, out_dir=False):
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deragg",
@@ -404,51 +415,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closed-form", action="store_true",
                    help="also require closed-form admissibility (exit 4 if violated)")
     _add_common(p)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("equilibrium", help="solve the pricing game")
     p.add_argument("file")
     p.add_argument("--mean-field", action="store_true",
                    help="solve the large-N mean-field game instead")
     _add_common(p)
-    p.set_defaults(fn=cmd_equilibrium)
 
     p = sub.add_parser("supply-curve", help="tabulate a wholesale offer curve")
     p.add_argument("file")
     p.add_argument("--mode", choices=("agg", "direct"), required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_supply_curve)
 
     p = sub.add_parser("dispatch", help="clear the day-ahead market once")
     p.add_argument("file")
     p.add_argument("--mode", choices=("agg", "direct", "noder"), required=True)
     p.add_argument("--curve-source", choices=("auto", "closedform", "numeric"), default="auto")
     _add_common(p)
-    p.set_defaults(fn=cmd_dispatch)
 
     p = sub.add_parser("poag", help="price of aggregation across the three modes")
     p.add_argument("file")
     p.add_argument("--curve-source", choices=("auto", "closedform", "numeric"), default="auto")
     _add_common(p)
-    p.set_defaults(fn=cmd_poag)
 
     p = sub.add_parser("sweep", help="run the scenario's sweep block")
     p.add_argument("file")
     _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("figures", help="emit plot-ready CSV for a named reference figure")
     p.add_argument("name", choices=FIGURE_NAMES)
     _add_common(p, out_dir=True)
-    p.set_defaults(fn=cmd_figures)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up now, not bound into the parser, so a replaced cmd_* is the one called
+    handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except AdmissibilityError as exc:
         print(f"admissibility error: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY

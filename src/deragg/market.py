@@ -424,22 +424,27 @@ def der_curves(
     source: str = "auto",
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
+    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[SupplyCurve, SupplyCurve, str]:
     """Aggregated and direct DER supply curves, and the source that built them.
 
-    ``source`` is ``closedform`` (exact affine, dependent-uniform linear
-    scenarios only), ``numeric`` (read off the inverse response rho: the
-    hull slope of x * rho(x) and the one-prosumer rho_1), or ``auto``,
-    which picks the closed form wherever it applies.
+    ``source`` is ``closedform`` (exact affine, admissible dependent-uniform
+    linear scenarios only), ``numeric`` (read off the inverse response rho:
+    the hull slope of x * rho(x) over ``grid_points`` offers, the hull the
+    leader search reads, and the one-prosumer rho_1), or ``auto``, which
+    picks the closed form wherever it is admissible and ``numeric`` elsewhere.
     """
     if source == "auto":
-        source = "closedform" if closed_form_applies(scenario) else "numeric"
+        try:
+            return der_curves(scenario, "closedform")
+        except AdmissibilityError:  # outside the closed forms' model or band
+            source = "numeric"
     if source == "closedform":
         params = closed_form_params(scenario)
         return aggregated_affine_curve(params), direct_affine_curve(params), source
     if source == "numeric":
         return (
-            build_supply_curve_aggregated(scenario, draws=draws, seed=seed),
+            build_supply_curve_aggregated(scenario, grid_points, draws, seed),
             build_supply_curve_direct(scenario, draws=draws, seed=seed),
             source,
         )
@@ -453,15 +458,17 @@ def price_of_aggregation(
     curve_source: str = "auto",
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
+    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> PoAgReport:
     """Clear the market under all three participation modes and compare.
 
-    ``curve_source`` picks how the DER curves are built (see
-    :func:`der_curves`).
+    ``curve_source`` and ``grid_points`` pick how the DER curves are built
+    (see :func:`der_curves`).
     """
     generators = tuple(generators)
     demand = demand_per_prosumer * scenario.n_prosumers
-    agg_curve, dir_curve, curve_source = der_curves(scenario, curve_source, draws, seed)
+    agg_curve, dir_curve, curve_source = der_curves(scenario, curve_source, draws, seed,
+                                                    grid_points)
     noder = clear_market(generators, demand)  # first: the generators' own error wins
     report = PoAgReport(curve_source, clear_market(generators, demand, agg_curve),
                         clear_market(generators, demand, dir_curve), noder)

@@ -15,7 +15,7 @@ from deragg.agents import GameScenario, linear_utility, tabulated_utility
 from deragg.capacity import dependent_uniform, iid_uniform
 from deragg.equilibrium import meanfield_stackelberg
 from deragg.errors import ValidationError
-from deragg.market import GeneratorSpec
+from deragg.market import GeneratorSpec, build_supply_curve_aggregated, clear_market
 from deragg.scenario import SolverSettings, apply_sweep_value, load_scenario, parse_scenario
 from workloads import TABULATED_SCENARIO
 
@@ -414,6 +414,66 @@ def test_cli_numeric_poag_clears_aggregated_der_at_support_low_end(capsys):
     assert float(row["poag"]) == pytest.approx(1.0282, abs=1e-3)
 
 
+def shipped(name, *edits):
+    """A shipped scenario file's mapping with ``edits`` applied (see ``deep``)."""
+    return deep(json.loads((SCENARIOS / name).read_text(encoding="utf-8")), *edits)
+
+
+MU = ("scenario", "capacity", "mu")
+
+
+def test_cli_poag_off_the_closed_form_band_reads_the_numeric_curves(tmp_path, capsys):
+    # mu = 12 puts sigma = 3.3 below the band's minimum: auto falls back to numeric
+    path = write_scenario(tmp_path, shipped("base.json", (MU, 12.0)))
+    rows = []
+    for source in ("auto", "numeric"):
+        assert cli.main(["poag", path, "--curve-source", source]) == cli.EXIT_OK
+        rows.append(read_table(capsys.readouterr().out)[0])
+    assert rows[0] == rows[1]
+    assert rows[0]["curve_source"] == "numeric"
+    assert rows[0]["poag"] == "1.029699122"
+    assert cli.main(["poag", path, "--curve-source", "closedform"]) == cli.EXIT_ADMISSIBILITY
+    assert "below the admissible minimum" in capsys.readouterr().err
+
+
+def test_cli_mu_sweep_keeps_the_points_off_the_closed_form_band(tmp_path, capsys):
+    sweep = {"parameter": "mu", "from": 6.0, "to": 16.0, "steps": 6}
+    with pytest.warns(UserWarning, match="outside the closed-form band"):
+        code = cli.main(["sweep", write_scenario(tmp_path, shipped("base.json", (("sweep",), sweep)))])
+    assert code == cli.EXIT_SOLVER
+    rows = read_table(capsys.readouterr().out)
+    assert [r["value"] for r in rows] == ["6", "8", "10", "12", "14", "16"]
+    assert [r["status"] for r in rows[:5]] == ["ok"] * 5
+    assert rows[5]["status"].startswith("failed: d0=20.0 must exceed installed capacity cbar=")
+    for row in rows[3:5]:  # mu = 12 and 14, below the band: the numeric PoAg of that point
+        point = write_scenario(tmp_path, shipped("base.json", (MU, float(row["value"]))), "point.json")
+        assert cli.main(["poag", point, "--curve-source", "numeric"]) == cli.EXIT_OK
+        assert read_table(capsys.readouterr().out)[0]["poag"] == row["poag"]
+
+
+def test_cli_aggregated_curve_is_read_off_the_solver_grid(tmp_path, capsys):
+    # iid.json solves on 96 offers, and its aggregated curve is the hull of those offers
+    sf = load_scenario(SCENARIOS / "iid.json")
+    assert sf.solver.rho_grid_points == 96
+    settings = ["--draws", "2000", "--seed", "3"]
+    paths, curves = {}, {}
+    for grid in (96, 512):
+        paths[grid] = write_scenario(
+            tmp_path, shipped("iid.json", (("solver", "rho_grid_points"), grid)), f"g{grid}.json")
+        assert cli.main(["supply-curve", paths[grid], "--mode", "agg", *settings]) == 0
+        curves[grid] = [(r["quantity"], r["price"]) for r in read_table(capsys.readouterr().out)]
+    expected = build_supply_curve_aggregated(sf.scenario, 96, 2000, 3)
+    assert curves[96] == [(cli._fmt(q), cli._fmt(p)) for q, p in expected.breakpoints]
+    assert curves[96] != curves[512]
+    # dispatch and poag clear that same curve
+    assert cli.main(["dispatch", paths[96], "--mode", "agg", *settings]) == 0
+    demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
+    cleared = clear_market(sf.generators, demand, expected).cleared_der
+    assert read_table(capsys.readouterr().out)[0]["cleared_der"] == cli._fmt(cleared)
+    assert cli.main(["poag", paths[96], *settings]) == 0
+    assert read_table(capsys.readouterr().out)[0]["cleared_der_aggregated"] == cli._fmt(cleared)
+
+
 def test_cli_supply_curve(tmp_path, capsys):
     assert cli.main(["supply-curve", write_scenario(tmp_path, BASE), "--mode", "direct"]) == 0
     rows = read_table(capsys.readouterr().out)
@@ -436,14 +496,16 @@ def test_cli_sweep_rows_ordered_and_complete(tmp_path, capsys):
 
 
 def test_cli_sweep_marks_failed_points(tmp_path, capsys):
-    payload = deep(BASE, (("sweep",), {"parameter": "sigma", "from": 3.0, "to": 3.6, "steps": 4}))
+    # sigma = 3 is below the closed-form band, so its PoAg is numeric; sigma = 6
+    # puts the support's low end below zero, which the loader rejects
+    payload = deep(BASE, (("sweep",), {"parameter": "sigma", "from": 3.0, "to": 6.0, "steps": 4}))
     with pytest.warns(UserWarning, match="outside the closed-form band"):
         code = cli.main(["sweep", write_scenario(tmp_path, payload)])
     assert code == cli.EXIT_SOLVER
     rows = read_table(capsys.readouterr().out)
-    assert rows[0]["status"].startswith("failed:")
-    assert rows[0]["poag"] == ""  # no NaN cells
-    assert rows[-1]["status"] == "ok"
+    assert [r["status"] for r in rows[:3]] == ["ok"] * 3
+    assert rows[-1]["status"].startswith("failed: support low end")
+    assert rows[-1]["poag"] == ""  # no NaN cells
 
 
 def test_cli_poag_and_sweep_where_direct_participation_costs_nothing(tmp_path, capsys):
@@ -479,6 +541,56 @@ def test_cli_figures_needs_an_output_directory():
     assert proc.returncode == 2
     assert "the following arguments are required: --out" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_package_leaves_the_cli_unbuilt():
+    # bench/probe.py times this import as setup_s; the parser is built by main, not on import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, deragg, deragg.scenario; "
+            "print(sorted({'deragg.cli', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_builds_its_parser_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
+    # options of one call (--mean-field, --draws, --out) do not carry into the next
+    out = tmp_path / "mean_field.csv"
+    assert cli.main(["equilibrium", str(SCENARIOS / "iid.json"), "--mean-field",
+                     "--draws", "7", "--out", str(out)]) == 0
+    assert "# draws=7" in out.read_text()
+    capsys.readouterr()
+    assert cli.main(["equilibrium", str(SCENARIOS / "base.json")]) == 0
+    text = capsys.readouterr().out
+    assert "# draws=100000" in text
+    assert "concavity_ok" in text and "beta" not in text
+
+
+def test_cli_usage_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equilibrium", str(SCENARIOS / "base.json"), "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert cli.main(["equilibrium", str(SCENARIOS / "base.json")]) == cli.EXIT_OK
+    assert "rho_star=" in capsys.readouterr().err
+
+
+def test_cli_calls_the_handler_on_the_module_at_call_time(monkeypatch, capsys):
+    # the parser is built by the first call; a handler replaced after that
+    # (as bench/tracer.py replaces cmd_sweep) is still the one called
+    base = str(SCENARIOS / "base.json")
+    assert cli.main(["sweep", base]) == cli.EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.file) or 41)
+    assert cli.main(["sweep", base]) == 41
+    assert seen == [base]
 
 
 def every_subcommand(values):
