@@ -1,24 +1,31 @@
 """Independent capacities in the large-population limit.
 
 With iid capacities a prosumer hopes rivals' surplus covers their own
-shortfall.  As the population grows the pooled-to-individual shortfall
-ratio concentrates on a constant, and the game collapses to a scalar
-fixed point in that constant and the symmetric offer.
+shortfall.  That hope is the coverage term h(x) of the first-order
+condition (rho - E[u'])/lambda_rt = F(x)^N + h(x).  As the population
+grows the right-hand side falls to the mean-field beta(x) * F(x), and the
+game collapses to a scalar fixed point in beta and the symmetric offer.
+Every number below is exact: nothing is sampled.
 """
-
-import numpy as np
 
 import deragg as dg
 
 cap = dg.iid_uniform(mu=10.0, sigma=3.3)
-sc = dg.GameScenario(8, cap.cbar + 1.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
 
-print("law-of-large-numbers diagnostic at x = mu (ratio -> 0):")
-ns = [4, 16, 64, 256, 1024]
-ratios = dg.shortfall_ratio_convergence(sc, 10.0, ns, draws=4000, seed=3)
-for n, r in zip(ns, ratios):
-    print(f"  N={n:5d}  ratio={r:.4f}")
 
+def game(n):
+    return dg.GameScenario(n, cap.cbar + 1.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
+
+
+x = 12.0
+f = dg.cdf_marginal(cap, x)
+beta = (x - cap.mean) / dg.expected_shortfall(cap, x)
+print(f"F^N + h at x = {x:g} falls toward the mean-field beta*F = {beta * f:.5f}:")
+for n in (2, 4, 8, 12, 16, 32):
+    h = dg.partial_coverage_term(game(n), x)
+    print(f"  N={n:3d}  F^N={f**n:.5f}  h={h:.5f}  F^N+h={f**n + h:.5f}")
+
+sc = game(8)
 print("\nmean-field fixed point across prices:")
 for rho in (2.4, 2.5, 3.0, 4.0, 5.5):
     sol = dg.meanfield_solve(sc, rho)
@@ -26,13 +33,11 @@ for rho in (2.4, 2.5, 3.0, 4.0, 5.5):
 print("at the indifference price the offer equals the mean capacity, and")
 print("above it prosumers offer more than they expect to have.\n")
 
-# At finite N the optimism shows up as a correction term inside the
-# first-order condition; it vanishes under full dependence.
-two = dg.GameScenario(2, cap.cbar + 1.0, cap, dg.linear_utility(2.5), 4.0, 4.0)
+# the coverage term vanishes under full dependence: a rival with surplus
+# then means every prosumer has surplus
 print("finite-N coverage correction (N=2):")
 for x in (7.0, 9.0, 11.0):
-    h = dg.partial_coverage_term(two, x, draws=100_000, seed=5)
-    print(f"  x={x:4.1f}  h={h:.4f}")
+    print(f"  x={x:4.1f}  h={dg.partial_coverage_term(game(2), x):.4f}")
 
 eq, sol = dg.meanfield_stackelberg(sc)
 print(f"\nmean-field pricing game: rho*={eq.rho_star:.4f}  x*={eq.x_star:.4f}"

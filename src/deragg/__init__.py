@@ -44,7 +44,6 @@ from .equilibrium import (
     meanfield_stackelberg,
     offer_price_bounds,
     partial_coverage_term,
-    shortfall_ratio_convergence,
     stackelberg_solve,
     symmetric_follower_response,
 )

@@ -1,8 +1,8 @@
 """Command line: validate scenarios, solve equilibria, build offer curves,
 clear markets, run sweeps, and emit figure-ready CSV files.
 
-Exit codes: 0 ok, 2 invalid scenario, 3 solver non-convergence,
-4 closed-form admissibility violation.
+Exit codes: 0 ok, 2 invalid scenario or an ``--out`` that cannot be
+written, 3 solver non-convergence, 4 closed-form admissibility violation.
 
 ``main(argv)`` may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it after that, and it looks
@@ -463,6 +463,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc} {exc.diagnostics}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # only a write gets here: a scenario that cannot be read is invalid
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from importlib import import_module
 
 import numpy as np
 
@@ -186,25 +187,52 @@ def partial_coverage_samples(
     return out
 
 
-def partial_coverage_term(
-    scenario: GameScenario,
-    x: float,
-    draws: int = DEFAULT_DRAWS,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Monte-Carlo coverage correction; zero under full dependence.
+def partial_coverage_term(scenario: GameScenario, x: float) -> float:
+    """The exact coverage correction h(x); zero unless capacities are iid.
 
-    With identical capacities a rival with surplus implies every prosumer
-    has surplus, so the event never fires and the term vanishes exactly.
+    h = F * sum_k P(k rivals short) * E[psi_m(a (Y_k + 1) / b)], m = N-1-k, with
+    a = x - lo, b = hi - x, F = a / (hi - lo), Y_n the Irwin-Hall sum of n uniforms,
+    psi_m(t) = E[(1 - Y_m/t)+] = sum_r (r + 1) M(t - r) / t and M the density of
+    Y_(m+2).  Each mean is Gauss-Legendre between the integers and psi_m's kinks.
     """
-    model = scenario.capacity
+    model, n = scenario.capacity, scenario.n_prosumers
     if not 0.0 <= x <= model.cbar + 1e-12:
         raise ValidationError(f"offer {x} outside [0, cbar={model.cbar}]")
-    if model.kind != IID_UNIFORM:
-        return 0.0
-    if scenario.n_prosumers < 2:
+    if model.kind == IID_UNIFORM and n < 2:
         raise ValidationError("coverage correction needs at least two prosumers")
-    return float(partial_coverage_samples(scenario, x, draws, seed).mean())
+    lo, hi = model.support
+    if model.kind != IID_UNIFORM or not lo < x < hi:
+        return 0.0
+    a, b = x - lo, hi - x
+    f, h = a / (hi - lo), 0.0
+    for k, m in enumerate(range(n - 1, 0, -1)):
+        p = math.comb(n - 1, k) * f**k * (1.0 - f) ** m
+        y, w = np.zeros(1), np.ones(1)  # Y_0 = 0
+        if k:  # psi_m has kinks where a (y + 1) / b = 1 .. m
+            edges = np.unique(np.clip([*range(k + 1), *(np.arange(1, m + 1) * b / a - 1)], 0, k))
+            half, (nodes, weights) = np.diff(edges)[:, None] / 2, _gauss_legendre()
+            y = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+            i = np.minimum(np.floor(y), k - 1)  # rounding may put the last node at k
+            w = (half * weights).ravel() * _bspline(k, y - i)[i.astype(int), np.arange(len(y))]
+        t = a * (y + 1.0) / b
+        r = np.floor(t)
+        psi = (np.maximum(r + 1 - np.arange(m + 2)[:, None], 0) * _bspline(m + 2, t - r)).sum(0)
+        h += p * (w @ (psi / t))
+    return float(f * h)
+
+
+# built on first use: a bare ``import numpy`` does not load numpy.polynomial
+_gauss_legendre = cache(lambda: import_module("numpy.polynomial.legendre").leggauss(12))
+
+
+def _bspline(order, u):
+    """Row j: the density of Y_order at u + j, for u in [0, 1], by the Cox-de Boor recursion."""
+    table = np.ones((1, len(u)))
+    for q in range(2, order + 1):  # its weights are positive: no cancellation at any order
+        pad = np.pad(table, ((1, 1), (0, 0)))  # row j: the order q-1 density at u + j - 1
+        j = np.arange(q)[:, None]
+        table = ((u + j) * pad[1:] + (q - u - j) * pad[:-1]) / (q - 1)
+    return table
 
 
 def follower_foc_gap(
@@ -500,33 +528,6 @@ def meanfield_stackelberg(
     _, rho_star, diag = _offer_search(inverse, grid_points)
     sol = meanfield_solve(scenario, rho_star, _inverse=inverse)
     return EquilibriumResult(scenario, rho_star, sol.x_star, diag), sol
-
-
-def shortfall_ratio_convergence(
-    scenario: GameScenario,
-    x: float,
-    n_values,
-    draws: int = 2000,
-    seed: int = DEFAULT_SEED,
-) -> list[float]:
-    """Empirical pooled-to-individual shortfall ratio for growing N.
-
-    Diagnostic for the law-of-large-numbers limit behind the mean-field
-    ratio: each entry averages ``(sum_j (x - C_j))+ / sum_j (x - C_j)+``
-    over draws, with 0/0 read as 0.
-    """
-    model = scenario.capacity
-    if model.kind != IID_UNIFORM:
-        raise ValidationError("ratio diagnostic requires iid capacities")
-    out = []
-    for idx, n in enumerate(n_values):
-        caps = sample(model, int(n), seed + idx, draws)
-        diff = x - caps
-        num = np.maximum(diff.sum(axis=1), 0.0)
-        den = np.maximum(diff, 0.0).sum(axis=1)
-        ratios = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        out.append(float(ratios.mean()))
-    return out
 
 
 def _warn_if_off_band(scenario: GameScenario) -> None:

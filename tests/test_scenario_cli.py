@@ -543,17 +543,41 @@ def test_cli_figures_needs_an_output_directory():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["missing-directory", "file-as-directory"])
+def test_cli_unwritable_out_exits_2_in_one_line(tmp_path, case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    if case == "missing-directory":
+        out = tmp_path / "missing" / "eq.csv"
+        argv = ["equilibrium", str(SCENARIOS / "base.json"), "--out", str(out)]
+    else:
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        argv = ["figures", "fig3", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "deragg", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"cannot write {out}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_importing_the_package_leaves_the_cli_unbuilt():
     # bench/probe.py times this import as setup_s; the parser is built by main, not on import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
     )
-    code = ("import sys, deragg, deragg.scenario; "
-            "print(sorted({'deragg.cli', 'argparse'} & set(sys.modules)))")
+    # numpy.polynomial, which holds the exact coverage term's Gauss-Legendre rule,
+    # loads on first use: only where a bare import numpy already loads it
+    code = ("import sys, numpy; bare = 'numpy.polynomial' in sys.modules; "
+            "import deragg, deragg.scenario; "
+            "print(sorted({'deragg.cli', 'argparse'} & set(sys.modules)), "
+            "('numpy.polynomial' in sys.modules) == bare)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] True"
 
 
 def test_cli_builds_its_parser_once():
