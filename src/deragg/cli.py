@@ -29,7 +29,7 @@ from .closedform import (
     inverse_supply_direct,
     procurement_costs,
 )
-from .equilibrium import meanfield_stackelberg, stackelberg_solve
+from .equilibrium import _InverseResponse, meanfield_stackelberg, stackelberg_solve
 from .errors import (
     AdmissibilityError,
     MarketInfeasibleError,
@@ -52,8 +52,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
 EXIT_ADMISSIBILITY = 4
-
-SEED_ENV_VAR = "DERAGG_SEED"
 
 # reference parameter set behind the figure commands
 FIG_GAMMA = 2.5
@@ -103,18 +101,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _settings(args, solver: SolverSettings) -> SolverSettings:
-    """``solver`` with ``--seed`` (else ``DERAGG_SEED``) and ``--draws`` applied.
+    """``solver`` with ``--seed`` and ``--draws`` applied.
 
     The seed is applied, and so checked, before the draw count.
     """
-    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
-    if seed is None and env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    if seed is not None:
-        solver = replace(solver, seed=seed)
+    if args.seed is not None:
+        solver = replace(solver, seed=args.seed)
     if args.draws is not None:
         solver = replace(solver, draws=args.draws)
     return solver
@@ -228,10 +220,9 @@ def cmd_equilibrium(args) -> int:
 def cmd_supply_curve(args) -> int:
     sf = _load(args)
     s = sf.solver
-    if args.mode == "agg":
-        curve = build_supply_curve_aggregated(sf.scenario, s.rho_grid_points, s.draws, s.seed)
-    else:
-        curve = build_supply_curve_direct(sf.scenario, draws=s.draws, seed=s.seed)
+    inverse = _InverseResponse(sf.scenario, s.draws, s.seed)
+    curve = (build_supply_curve_aggregated(inverse, s.rho_grid_points) if args.mode == "agg"
+             else build_supply_curve_direct(inverse))
     _write(args, sf, [{"quantity": q, "price": p} for q, p in curve.breakpoints])
     return EXIT_OK
 
@@ -394,7 +385,7 @@ def cmd_figures(args) -> int:
 
 
 def _add_common(sub, out_dir=False):
-    sub.add_argument("--seed", type=int, default=None, help="seed override (also DERAGG_SEED)")
+    sub.add_argument("--seed", type=int, default=None, help="seed override")
     sub.add_argument("--draws", type=int, default=None, help="Monte-Carlo draws override")
     if out_dir:  # the command writes several files
         sub.add_argument("--out", required=True, help="output directory")

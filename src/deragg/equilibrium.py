@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import import_module
 
@@ -301,6 +301,16 @@ class _InverseResponse:
         """(rho_min, rho_max): :func:`offer_price_bounds` on the solve's draws."""
         return offer_price_bounds(self.scenario, draws=self.draws, seed=self.seed)
 
+    @property  # not cached: caching self would make a cycle that holds the draws until gc runs
+    def one_prosumer(self) -> _InverseResponse:
+        """rho_1, the finite-N one-prosumer game on the same draws: this response at N = 1,
+        else one that shares its E[u'] kernel and price bounds, neither of which depends on N."""
+        if self.scenario.n_prosumers == 1 and type(self) is _InverseResponse:
+            return self
+        one = _InverseResponse(replace(self.scenario, n_prosumers=1), self.draws, self.seed)
+        one.bounds, one.emu = self.bounds, self.emu
+        return one
+
     @cached_property
     def caps(self) -> _CoverageDraws:
         """The coverage draws, sampled and laid out once; read only where :attr:`per_offer`."""
@@ -417,8 +427,7 @@ def _offer_search(inverse, grid_points):
     if lambda_da is the slope of an ironed edge (one that skips offers)
     next to the chosen vertex.  Returns (x*, rho(x*), diagnostics).
     """
-    if grid_points < 4:
-        raise ValidationError("grid_points must be at least 4")
+    _check_grid(grid_points)
     scenario = inverse.scenario
     lambda_da, n = scenario.lambda_da, scenario.n_prosumers
     if lambda_da <= inverse.bounds[0]:
@@ -444,6 +453,12 @@ def _offer_search(inverse, grid_points):
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
     diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima)
     return x_star, inverse(x_star), diag
+
+
+def _check_grid(grid_points):
+    """The offer table needs at least four offers."""
+    if grid_points < 4:
+        raise ValidationError("grid_points must be at least 4")
 
 
 @dataclass(frozen=True)

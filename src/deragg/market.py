@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,13 +33,14 @@ from .closedform import (
     inverse_supply_aggregated,
     inverse_supply_direct,
 )
-from .equilibrium import DEFAULT_GRID_POINTS, _InverseResponse
+from .equilibrium import DEFAULT_GRID_POINTS, _InverseResponse, _check_grid
 from .errors import AdmissibilityError, MarketInfeasibleError, ValidationError, as_number, as_pairs
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 TIE_RULE = "pro-rata by remaining headroom at the clearing price"
 
 _BALANCE_RTOL = 1e-9
+_DIRECT_OFFERS = 33  # offers the direct curve reads rho_1 at, besides the support ends
 
 
 @dataclass(frozen=True)
@@ -297,10 +298,7 @@ def clear_market(
 
 
 def build_supply_curve_aggregated(
-    scenario: GameScenario,
-    n_points: int = DEFAULT_GRID_POINTS,
-    draws: int = DEFAULT_DRAWS,
-    seed: int = DEFAULT_SEED,
+    inverse: _InverseResponse, n_points: int = DEFAULT_GRID_POINTS
 ) -> SupplyCurve:
     """Pooled offer: the slope of the lower convex hull of the outlay x * rho(x).
 
@@ -308,19 +306,19 @@ def build_supply_curve_aggregated(
     maximises N * (p * x - R(x)) with R(x) = x * rho(x), so its offer curve
     is the slope of the lower convex hull of R: the marginal outlay
     rho + x * rho' where R is convex, ironed flat where it is not.  It
-    is the hull the leader search reads at lambda_da = p
-    (:func:`deragg.equilibrium.stackelberg_solve`), over ``n_points``
-    offers on [0, cbar] plus the support ends (the kinks of rho).  A hull
+    is the hull of ``inverse``, the finite-N or the mean-field rho, that
+    the leader search reads at lambda_da = p, over ``n_points`` offers on
+    [0, cbar] plus the support ends (the kinks of rho).  A hull
     edge one offer wide contributes (N * midpoint, secant slope), exact
     for a quadratic R; a wider edge is ironed, flat at its slope between
     its ends, and the curve rises from its right end.  The curve starts at
     quantity 0 and is cut at the wholesale price rho_max, at which the
     followers offer their whole capacity.
     """
-    rho = _InverseResponse(scenario, draws, seed)
-    rho_min, rho_max = rho.bounds
-    n = scenario.n_prosumers
-    xs, rs, hull = rho.hull(n_points)
+    _check_grid(n_points)
+    rho_min, rho_max = inverse.bounds
+    n = inverse.scenario.n_prosumers
+    xs, rs, hull = inverse.hull(n_points)
     points = []
     for a, b in zip(hull, hull[1:]):
         slope = (rs[b] - rs[a]) / (xs[b] - xs[a])
@@ -343,26 +341,22 @@ def build_supply_curve_aggregated(
     return SupplyCurve(tuple(points))
 
 
-def build_supply_curve_direct(
-    scenario: GameScenario,
-    n_points: int = 33,
-    draws: int = DEFAULT_DRAWS,
-    seed: int = DEFAULT_SEED,
-) -> SupplyCurve:
+def build_supply_curve_direct(inverse: _InverseResponse) -> SupplyCurve:
     """Tabulate the collapsed direct-participation offer of N prosumers.
 
     A prosumer bidding directly plays no cost-sharing game, so its offer
     curve is the inverse response of the one-prosumer game,
-    rho_1(y) = E[u'(d0 + C - y)] + lambda_rt * F(y), read off at
-    ``n_points`` offers on [0, cbar] plus the support ends (the kinks of
-    F, which make the curve exact for linear utility).  Identical
+    rho_1(y) = E[u'(d0 + C - y)] + lambda_rt * F(y), read off ``inverse``
+    (:attr:`~deragg.equilibrium._InverseResponse.one_prosumer`) at
+    ``_DIRECT_OFFERS`` offers on [0, cbar] plus the support ends (the
+    kinks of F, which make the curve exact for linear utility).  Identical
     prosumers collapse into one curve scaled by N.  Points inside a run of
     equal prices are dropped; the curve takes the maximal offer of the run
     at indifference.
     """
-    rho_1 = _InverseResponse(replace(scenario, n_prosumers=1), draws, seed)
-    n = scenario.n_prosumers
-    ys = rho_1.offers(n_points)
+    rho_1 = inverse.one_prosumer
+    n = inverse.scenario.n_prosumers
+    ys = rho_1.offers(_DIRECT_OFFERS)
     points = []
     for y, p in zip(ys, rho_1(np.asarray(ys)).tolist()):
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
@@ -429,9 +423,9 @@ def der_curves(
     """Aggregated and direct DER supply curves, and the source that built them.
 
     ``source`` is ``closedform`` (exact affine, admissible dependent-uniform
-    linear scenarios only), ``numeric`` (read off the inverse response rho:
+    linear scenarios only), ``numeric`` (read off one inverse response rho:
     the hull slope of x * rho(x) over ``grid_points`` offers, the hull the
-    leader search reads, and the one-prosumer rho_1), or ``auto``, which
+    leader search reads, and its one-prosumer rho_1), or ``auto``, which
     picks the closed form wherever it is admissible and ``numeric`` elsewhere.
     """
     if source == "auto":
@@ -443,11 +437,9 @@ def der_curves(
         params = closed_form_params(scenario)
         return aggregated_affine_curve(params), direct_affine_curve(params), source
     if source == "numeric":
-        return (
-            build_supply_curve_aggregated(scenario, grid_points, draws, seed),
-            build_supply_curve_direct(scenario, draws=draws, seed=seed),
-            source,
-        )
+        inverse = _InverseResponse(scenario, draws, seed)
+        return (build_supply_curve_aggregated(inverse, grid_points),
+                build_supply_curve_direct(inverse), source)
     raise ValidationError(f"unknown curve_source {source!r}")
 
 

@@ -651,10 +651,17 @@ def test_forward_response_inverts_inverse_response(case):
         assert got == pytest.approx(x, abs=1e-8)
 
 
-@pytest.mark.parametrize("leader", [dg.stackelberg_solve, dg.meanfield_stackelberg])
-def test_leaders_reject_fewer_than_four_grid_points(leader):
-    with pytest.raises(dg.ValidationError, match="grid_points"):
-        leader(make_scenario(kind="iid", n=4), grid_points=3)
+def _aggregated_curve(sc, grid_points):
+    return dg.build_supply_curve_aggregated(_InverseResponse(sc, MIN_DRAWS, 7), grid_points)
+
+
+@pytest.mark.parametrize("grid_points", [3, 0, -1])
+@pytest.mark.parametrize("leader", [dg.stackelberg_solve, dg.meanfield_stackelberg,
+                                    _aggregated_curve])
+def test_leaders_reject_fewer_than_four_grid_points(leader, grid_points):
+    # the aggregated curve reads the leader's offer table, and so its check
+    with pytest.raises(dg.ValidationError, match="grid_points must be at least 4"):
+        leader(make_scenario(kind="iid", n=4), grid_points=grid_points)
 
 
 @pytest.mark.parametrize("lambda_da", [0.0, 2.0])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from deragg.equilibrium import (
+    _InverseResponse,
     meanfield_stackelberg,
     offer_price_bounds,
     stackelberg_solve,
@@ -126,8 +127,8 @@ def test_follower_response_scales_with_prices_and_capacity(case, k, s):
 @pytest.mark.parametrize("build", [build_supply_curve_aggregated, build_supply_curve_direct],
                          ids=["aggregated", "direct"])
 def test_supply_curves_map_each_breakpoint_to_scaled_quantity_and_price(build, case, k, s):
-    ref = build(scaled(case).scenario, draws=DRAWS, seed=SEED)
-    got = build(scaled(case, k, s).scenario, draws=DRAWS, seed=SEED)
+    ref = build(_InverseResponse(scaled(case).scenario, DRAWS, SEED))
+    got = build(_InverseResponse(scaled(case, k, s).scenario, DRAWS, SEED))
     assert flat(got) == pytest.approx(flat(ref) * np.tile([s, k], len(ref.breakpoints)),
                                       rel=EXACT)
 

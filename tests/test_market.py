@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 
 import deragg as dg
 from deragg.cli import FIG_MU_SWEEP, FIG_SIGMA_SWEEP
-from deragg.equilibrium import DEFAULT_GRID_POINTS
+from deragg.equilibrium import DEFAULT_GRID_POINTS, _InverseResponse, _MeanFieldInverse
 from deragg.market import _BALANCE_RTOL
+from deragg.penalty import DEFAULT_DRAWS, DEFAULT_SEED
 from deragg.scenario import parse_scenario
 from oracles import tabulated_inverse_response
 from workloads import TABULATED_SCENARIO
@@ -17,6 +20,11 @@ from conftest import make_scenario
 
 def fig5_params(n=1, sigma=3.3):
     return dg.UniformLinearParams(2.5, 10.0, sigma, 4.0, 4.0, n)
+
+
+def inverse(sc, draws=DEFAULT_DRAWS, seed=DEFAULT_SEED):
+    """The finite-N inverse response that both curve builders read."""
+    return _InverseResponse(sc, draws, seed)
 
 
 def test_generator_validation_and_supply():
@@ -263,7 +271,7 @@ def test_supply_curve_accepts_only_a_last_unbounded_quantity():
 
 def test_numeric_aggregated_curve_starts_at_zero():
     # with the support reaching 0, the first hull edge is one offer wide
-    curve = dg.build_supply_curve_aggregated(make_scenario(sigma=10.0 / dg.SQRT3), n_points=9)
+    curve = dg.build_supply_curve_aggregated(inverse(make_scenario(sigma=10.0 / dg.SQRT3)), 9)
     (q0, p0), (q1, p1) = curve.breakpoints[:2]
     assert q0 == 0.0 and q1 > 0.0 and p0 == p1
     assert curve.quantity_below(p0) == 0.0
@@ -329,7 +337,7 @@ def test_cleared_halving_across_sigma_band(fig3_scenario):
 def test_numeric_aggregated_curve_matches_closed_form(fig3_scenario):
     # below N*lo the affine formula runs under gamma, outside the game; the
     # numeric curve is flat at rho_min there
-    curve = dg.build_supply_curve_aggregated(fig3_scenario, n_points=9)
+    curve = dg.build_supply_curve_aggregated(inverse(fig3_scenario), n_points=9)
     p = dg.closed_form_params(fig3_scenario)
     n_lo = p.n_prosumers * fig3_scenario.capacity.support[0]
     for q, price in curve.breakpoints:
@@ -338,7 +346,7 @@ def test_numeric_aggregated_curve_matches_closed_form(fig3_scenario):
 
 
 def test_numeric_direct_curve_matches_closed_form(fig3_scenario):
-    curve = dg.build_supply_curve_direct(fig3_scenario, n_points=9)
+    curve = dg.build_supply_curve_direct(inverse(fig3_scenario))
     p = dg.closed_form_params(fig3_scenario)
     for q, price in curve.breakpoints:
         if q > 0.0:
@@ -347,21 +355,21 @@ def test_numeric_direct_curve_matches_closed_form(fig3_scenario):
 
 def test_direct_curve_same_for_iid_marginal():
     # the benchmark response has no cross-prosumer game: only the marginal matters
-    dep = dg.build_supply_curve_direct(make_scenario(n=2), n_points=7)
-    iid = dg.build_supply_curve_direct(make_scenario(kind="iid", n=2), n_points=7)
+    dep = dg.build_supply_curve_direct(inverse(make_scenario(n=2)))
+    iid = dg.build_supply_curve_direct(inverse(make_scenario(kind="iid", n=2)))
     assert dep.breakpoints == iid.breakpoints
 
 
 def test_deterministic_aggregated_curve_is_vertical_then_flat():
     sc = make_scenario(kind="deterministic", mu=10.0, d0=11.0)
-    curve = dg.build_supply_curve_aggregated(sc, n_points=7)
+    curve = dg.build_supply_curve_aggregated(inverse(sc), n_points=7)
     assert curve.quantity_cap == 10.0
     assert curve.price_at(9.9) == pytest.approx(2.5, abs=1e-3)
 
 
 def test_direct_curve_endpoints(fig3_scenario):
     lo, hi = fig3_scenario.capacity.support
-    curve = dg.build_supply_curve_direct(fig3_scenario)
+    curve = dg.build_supply_curve_direct(inverse(fig3_scenario))
     assert curve.quantity_at(2.5) == pytest.approx(lo, abs=1e-12)
     assert curve.quantity_at(6.5) == pytest.approx(hi, abs=1e-12)
     assert curve.quantity_at(1.0) == 0.0
@@ -372,7 +380,7 @@ def test_direct_curve_matches_exact_tabulated_inverse_response():
     # the curve reads the Monte-Carlo rho_1 off at its offers
     scenario = parse_scenario(TABULATED_SCENARIO).scenario
     _, rho_1, cbar = tabulated_inverse_response(TABULATED_SCENARIO)
-    curve = dg.build_supply_curve_direct(scenario, draws=50_000, seed=7)
+    curve = dg.build_supply_curve_direct(inverse(scenario, 50_000, 7))
     n = scenario.n_prosumers
     ys = np.linspace(0.0, cbar, 2001)
     err = max(abs(curve.price_at(n * y) - float(rho_1(y))) for y in ys)
@@ -385,19 +393,64 @@ def test_dispatch_outcome_balance_guard():
 
 
 @pytest.mark.filterwarnings("ignore:sigma=.*outside the closed-form band")
-@pytest.mark.parametrize("kind,n", [("dependent", 1), ("iid", 2), ("iid", 4)])
+@pytest.mark.parametrize("kind,n", [("dependent", 1), ("iid", 2), ("iid", 4), ("meanfield", 4)])
 def test_aggregated_curve_matches_per_price_solves(kind, n):
     # the leader at lambda_da = p and the curve at p read one hull of
     # x * rho(x) over the same offers, so they buy the same pooled offer up
     # to the golden refinement, which stays within the offers next to the
-    # hull vertex; Monte-Carlo noise in rho does not move that vertex apart
-    sc = make_scenario(kind=kind, n=n)
-    curve = dg.build_supply_curve_aggregated(sc, draws=10_000, seed=3)
+    # hull vertex; Monte-Carlo noise in rho does not move that vertex apart.
+    # The builder reads the mean-field inverse response as it is.
+    if kind == "meanfield":
+        sc, rho = make_scenario(kind="iid", n=n), _MeanFieldInverse
+
+        def leader(*args, **kwargs):
+            return dg.meanfield_stackelberg(*args, **kwargs)[0]
+    else:
+        sc, rho, leader = make_scenario(kind=kind, n=n), _InverseResponse, dg.stackelberg_solve
+    curve = dg.build_supply_curve_aggregated(rho(sc, 10_000, 3))
     rho_min, rho_max = dg.offer_price_bounds(sc, draws=10_000, seed=3)
     step = n * sc.capacity.cbar / (DEFAULT_GRID_POINTS - 1)
     for price in np.linspace(rho_min, rho_max, 22)[1:-1]:
-        res = dg.stackelberg_solve(
-            replace(sc, lambda_da=float(price)), grid_points=DEFAULT_GRID_POINTS,
-            draws=10_000, seed=3,
-        )
+        res = leader(replace(sc, lambda_da=float(price)), grid_points=DEFAULT_GRID_POINTS,
+                     draws=10_000, seed=3)
         assert res.aggregate_x == pytest.approx(curve.quantity_at(price), abs=step)
+
+
+def test_numeric_curves_share_one_inverse_response(monkeypatch):
+    # rho_1 reads rho_N's E[u'] draws and price bounds, which do not depend
+    # on N: one kernel for the bounds and one for rho, each sampling its
+    # draws, and one sample for the coverage term
+    points = TABULATED_SCENARIO["scenario"]["utility"]["marginal_points"]
+    sc = replace(make_scenario(kind="iid", n=4), utility=dg.tabulated_utility(points))
+    calls = {"emu": 0, "bounds": 0, "sample": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dg.equilibrium, "offer_price_bounds",
+                        counted("bounds", dg.equilibrium.offer_price_bounds))
+    emu = counted("emu", dg.agents._MarginalUtilityDraws)
+    sample = counted("sample", dg.capacity.sample)
+    for module in (dg.agents, dg.equilibrium):
+        monkeypatch.setattr(module, "_MarginalUtilityDraws", emu)
+        monkeypatch.setattr(module, "sample", sample)
+    dg.der_curves(sc, "numeric", draws=20_000, seed=7, grid_points=16)
+    assert calls == {"emu": 2, "bounds": 1, "sample": 3}
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_direct_curve_leaves_its_inverse_response_to_reference_counting(n):
+    # an inverse that held itself as its own rho_1 would keep its draws until
+    # the cyclic collector ran, and a loop of solves would grow its peak memory
+    rho = inverse(make_scenario(kind="iid", n=n))
+    dg.build_supply_curve_direct(rho)
+    gone = weakref.ref(rho)
+    gc.disable()
+    try:
+        del rho
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -13,7 +13,7 @@ import pytest
 import deragg.cli as cli
 from deragg.agents import GameScenario, linear_utility, tabulated_utility
 from deragg.capacity import dependent_uniform, iid_uniform
-from deragg.equilibrium import meanfield_stackelberg
+from deragg.equilibrium import _InverseResponse, meanfield_stackelberg
 from deragg.errors import ValidationError
 from deragg.market import GeneratorSpec, build_supply_curve_aggregated, clear_market
 from deragg.scenario import SolverSettings, apply_sweep_value, load_scenario, parse_scenario
@@ -271,16 +271,6 @@ def test_cli_rejects_out_of_range_seed(name, seed, tmp_path, capsys):
         assert_one_line_rejection(code, capsys, "seed must be >= 0 and < 2**128")
 
 
-@pytest.mark.parametrize("name", ["iid.json", "base.json"])
-def test_cli_rejects_negative_seed_from_environment(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
-    code = cli.main(["equilibrium", str(SCENARIOS / name)])
-    assert_one_line_rejection(code, capsys, "seed must be >= 0")
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
-    code = cli.main(["figures", "fig3", "--out", str(tmp_path)])
-    assert_one_line_rejection(code, capsys, "is not an integer")
-
-
 def test_scenario_seed_out_of_range_rejected(tmp_path, capsys):
     for seed in (-1, 2**128):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
@@ -462,7 +452,7 @@ def test_cli_aggregated_curve_is_read_off_the_solver_grid(tmp_path, capsys):
             tmp_path, shipped("iid.json", (("solver", "rho_grid_points"), grid)), f"g{grid}.json")
         assert cli.main(["supply-curve", paths[grid], "--mode", "agg", *settings]) == 0
         curves[grid] = [(r["quantity"], r["price"]) for r in read_table(capsys.readouterr().out)]
-    expected = build_supply_curve_aggregated(sf.scenario, 96, 2000, 3)
+    expected = build_supply_curve_aggregated(_InverseResponse(sf.scenario, 2000, 3), 96)
     assert curves[96] == [(cli._fmt(q), cli._fmt(p)) for q, p in expected.breakpoints]
     assert curves[96] != curves[512]
     # dispatch and poag clear that same curve
@@ -656,34 +646,20 @@ def test_cli_figures_fig3_slope(tmp_path):
         assert slope == pytest.approx(2.0 * 3.0**0.5 * sigma / 4.0, rel=1e-6)
 
 
-def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
-    path = write_scenario(tmp_path, BASE)
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-    assert cli.main(["equilibrium", path]) == 0
-    out = capsys.readouterr().out
-    assert "# seed=123" in out
-    assert cli.main(["equilibrium", path, "--seed", "9"]) == 0
-    assert "# seed=9" in capsys.readouterr().out
-
-
 def test_cli_settings_resolve_alike_in_every_subcommand(tmp_path, monkeypatch, capsys):
-    # base.json sets seed 7 and 100000 draws; --seed beats DERAGG_SEED beats
-    # the scenario, and figures, which read no scenario, fall back to the default
+    # base.json sets seed 7 and 100000 draws; --seed beats the scenario, and
+    # figures, which read no scenario, fall back to the default
     figures = tmp_path / "figures"
     validate_seeds = []
     monkeypatch.setattr(cli, "_penalty_axiom_issues",
                         lambda seed: validate_seeds.append(seed) or [])
 
-    def run(argv, env=None):
-        if env is None:
-            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+    def run(argv):
         assert cli.main(argv) == cli.EXIT_OK, argv
         return capsys.readouterr().out
 
-    def meta(name, argv, env=None):
-        out = run(argv, env)
+    def meta(name, argv):
+        out = run(argv)
         if name == "validate":
             return {"seed": str(validate_seeds[-1])}
         if name == "figures":
@@ -696,14 +672,13 @@ def test_cli_settings_resolve_alike_in_every_subcommand(tmp_path, monkeypatch, c
     base = str(SCENARIOS / "base.json")
     for name, argv in every_subcommand({"file": base, "out": str(figures)}):
         default = str(SolverSettings().seed if name == "figures" else 7)
-        for extra, env, seed, draws in (
-            ([], None, default, "100000"),
-            ([], "123", "123", "100000"),
-            (["--seed", "9"], "123", "9", "100000"),
-            (["--draws", "5000"], None, default, "5000"),
+        for extra, seed, draws in (
+            ([], default, "100000"),
+            (["--seed", "9"], "9", "100000"),
+            (["--draws", "5000"], default, "5000"),
         ):
-            got = meta(name, [*argv, *extra], env)
-            assert got["seed"] == seed, (argv, extra, env)
+            got = meta(name, [*argv, *extra])
+            assert got["seed"] == seed, (argv, extra)
             assert got.get("draws", draws) == draws, (argv, extra)
             assert name in ("validate", "figures") or "draws" in got
         if name != "figures":  # --out names a file, which gets stdout's bytes
