@@ -158,17 +158,20 @@ def expected_marginal_utility(
     x: float,
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
+    _emu: _MarginalUtilityDraws | None = None,
 ) -> float:
     """E[u'(d0 + C - x)]; exact for linear utility, Monte Carlo otherwise.
 
-    ``x`` may be an array of offers, all read off one set of draws.
+    ``x`` may be an array of offers, all read off one set of draws:
+    ``_emu``, the kernel of a solve of ``scenario`` that has sampled them
+    already; a call without it samples them from ``draws`` and ``seed``.
     """
     if not np.isfinite(x).all():
         raise ValidationError(f"offer must be finite, got {x}")
     u = scenario.utility
     if u.kind == LINEAR:
         return u.marginal(x)  # u' = gamma whatever the consumption
-    return _MarginalUtilityDraws(scenario, draws, seed)(x)
+    return (_MarginalUtilityDraws(scenario, draws, seed) if _emu is None else _emu)(x)
 
 
 def expected_utility(

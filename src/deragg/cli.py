@@ -38,11 +38,11 @@ from .errors import (
 )
 from .market import (
     TIE_RULE,
+    _der_curve_builders,
     build_supply_curve_aggregated,
     build_supply_curve_direct,
     clear_market,
     closed_form_params,
-    der_curves,
     price_of_aggregation,
 )
 from .penalty import penalty_shares
@@ -233,9 +233,9 @@ def cmd_dispatch(args) -> int:
     curve = None
     if args.mode != "noder":
         s = sf.solver
-        agg, direct, _ = der_curves(sf.scenario, args.curve_source, s.draws, s.seed,
-                                    s.rho_grid_points)
-        curve = agg if args.mode == "agg" else direct
+        build, _ = _der_curve_builders(sf.scenario, args.curve_source, s.draws, s.seed,
+                                       s.rho_grid_points)
+        curve = build[args.mode]()  # only the curve that clears
     outcome = clear_market(sf.generators, demand, curve)
     _write(args, sf, [{
         "mode": "aggregated" if args.mode == "agg" else args.mode,

@@ -20,8 +20,9 @@ price: it maximizes (lambda_da - rho(x)) * N * x and posts
 rho* = rho(x*).  One table of the outlay R(x) = x * rho(x) on a
 fixed set of offers answers this at every wholesale price: the leader takes
 the vertex of R's lower convex hull that is best at lambda_da and refines
-it by golden section, one FOC evaluation per golden step, and the
-aggregated supply curve is the hull's slope.  The table itself is one
+it by golden section, one FOC evaluation per golden step, until the
+bracket is as narrow as the profit can resolve, and the aggregated
+supply curve is the hull's slope.  The table itself is one
 numpy evaluation of rho over every offer, except where the Monte-Carlo
 coverage term h applies (iid, N >= 2): its kernel takes one offer per
 FOC evaluation.  The large-N independent limit has the explicit inverse
@@ -33,8 +34,9 @@ rho(x), taking one offer or an array of offers, together with its price
 bounds; the forward responses x*(rho) (:func:`symmetric_follower_response`,
 :func:`meanfield_solve`) are bisections of rho(x) = rho.  Its Monte-Carlo
 draws are sampled once per solve.  With a tabulated utility, the E[u']
-draws are sorted once and E[u'] at each offer is read off their prefix
-sums, one ``searchsorted`` of the table knots per offer.  A draw is in the event
+draws are sorted once and E[u'] at each offer, the price bounds' two
+included, is read off their prefix sums, one ``searchsorted`` of the
+table knots per offer.  A draw is in the event
 of h at offer x exactly when max(C_i, sum_j C_j / N) <= x < max_j C_j;
 the coverage draws are kept only where that interval is not empty and
 are sorted by where it opens, so each evaluation of h reduces only the
@@ -73,22 +75,29 @@ DEFAULT_GRID_POINTS = 256
 MAX_BISECT_ITER = 200
 # where each search stops, as a fraction of cbar: the game has no unit of
 # capacity, so a scenario in other units solves to the same precision
-_LEADER_TOL = 1e-9  # the leader's golden section in _offer_search
+# the leader's golden section in _offer_search, unless sqrt(eps) of its best
+# hull vertex is wider: the profit is flat to rounding over that much offer
+_LEADER_TOL = 1e-9
 _FORWARD_TOL = 1e-12  # the bisection of rho(x) = rho in _InverseResponse.forward
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def offer_price_bounds(
-    scenario: GameScenario, draws: int = DEFAULT_DRAWS, seed: int = DEFAULT_SEED
+    scenario: GameScenario,
+    draws: int = DEFAULT_DRAWS,
+    seed: int = DEFAULT_SEED,
+    _emu: _MarginalUtilityDraws | None = None,
 ) -> tuple[float, float]:
     """Prices below/above which the symmetric response pins to 0 / cbar.
 
     For linear utility this is (gamma, lambda_rt + gamma).  Both ends
-    come from one E[u'] call, which samples its draws once.
+    come from one E[u'] call on one set of draws: ``_emu``, the kernel of
+    a solve of ``scenario``, else draws sampled from ``draws`` and ``seed``.
     """
     emu_0, emu_cbar = expected_marginal_utility(
-        scenario, np.array([0.0, scenario.capacity.cbar]), draws=draws, seed=seed
+        scenario, np.array([0.0, scenario.capacity.cbar]), draws=draws, seed=seed, _emu=_emu
     ).tolist()
     return emu_0, scenario.lambda_rt + emu_cbar
 
@@ -298,8 +307,8 @@ class _InverseResponse:
 
     @cached_property
     def bounds(self) -> tuple[float, float]:
-        """(rho_min, rho_max): :func:`offer_price_bounds` on the solve's draws."""
-        return offer_price_bounds(self.scenario, draws=self.draws, seed=self.seed)
+        """(rho_min, rho_max): :func:`offer_price_bounds` read off :attr:`emu`."""
+        return offer_price_bounds(self.scenario, draws=self.draws, seed=self.seed, _emu=self.emu)
 
     @property  # not cached: caching self would make a cycle that holds the draws until gc runs
     def one_prosumer(self) -> _InverseResponse:
@@ -397,11 +406,13 @@ def stackelberg_solve(
     The leader picks the pooled offer: the best vertex at lambda_da of the
     lower convex hull of x * rho(x) over ``grid_points`` offers on [0, cbar]
     plus the support ends, refined by golden section between its
-    neighbouring offers to a bracket of ``_LEADER_TOL * cbar``.  The offer
-    table costs one FOC evaluation (one per offer with the Monte-Carlo
-    coverage term, iid N >= 2), each
-    golden step one more, the vertex's profit one and the posted price
-    rho* = rho(x*) one.  Where rho(x) is flat the followers are indifferent
+    neighbouring offers to a bracket of ``_LEADER_TOL * cbar``, or of
+    sqrt(eps) times the vertex where that is wider: the profit is flat to
+    rounding over that much of the offer.  The offer table costs one FOC
+    evaluation (one per offer with the Monte-Carlo coverage term, iid
+    N >= 2), each golden step one more and the vertex's profit one; the
+    posted price rho* = rho(x*) is the one the search evaluated at x*.
+    Where rho(x) is flat the followers are indifferent
     along the run, the hull skips it, and the leader buys its largest
     offer: with certain capacity and linear utility, the whole capacity at
     rho* = rho_min.
@@ -420,8 +431,10 @@ def _offer_search(inverse, grid_points):
     the vertex of the lower convex hull of R(x) = x * rho(x) that
     maximises lambda_da * x - R(x), the one whose adjacent edge slopes
     bracket lambda_da.  Golden section refines between the offers on
-    either side of it, to a bracket of ``_LEADER_TOL * cbar``, and the
-    vertex itself stays a candidate.  Both diagnostics are facts about
+    either side of it, to a bracket of ``_LEADER_TOL * cbar`` or of
+    sqrt(eps) times the vertex, whichever is wider, fixed before the
+    search so that the steps scale with capacity, and the vertex itself
+    stays a candidate.  Both diagnostics are facts about
     the hull: the profit is concave on the offers if every offer with
     rho(x) <= lambda_da lies on it, and the maximiser may not be unique
     if lambda_da is the slope of an ironed edge (one that skips offers)
@@ -433,8 +446,11 @@ def _offer_search(inverse, grid_points):
     if lambda_da <= inverse.bounds[0]:
         return 0.0, lambda_da, SolverDiagnostics(0, 0, True, False)
 
+    rhos = {}  # rho at each offer the search evaluates, to post rho(x*) without another
+
     def profit(x):
-        return (lambda_da - inverse(x)) * n * x
+        rhos[x] = rho = inverse(x)
+        return (lambda_da - rho) * n * x
 
     xs, rs, hull = inverse.hull(grid_points)
     best = max(hull, key=lambda i: lambda_da * xs[i] - rs[i])
@@ -449,10 +465,11 @@ def _offer_search(inverse, grid_points):
         r - h <= 1e-9 * abs(r) for x, r, h in zip(xs, rs, on_hull) if r <= lambda_da * x
     )
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
-    x_ref, prof_ref, iters = _golden_max(profit, a, b, _LEADER_TOL * scenario.capacity.cbar)
+    tol = max(_LEADER_TOL * scenario.capacity.cbar, _SQRT_EPS * xs[best])
+    x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
     x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
     diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima)
-    return x_star, inverse(x_star), diag
+    return x_star, rhos[x_star], diag
 
 
 def _check_grid(grid_points):

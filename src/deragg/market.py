@@ -427,19 +427,29 @@ def der_curves(
     the hull slope of x * rho(x) over ``grid_points`` offers, the hull the
     leader search reads, and its one-prosumer rho_1), or ``auto``, which
     picks the closed form wherever it is admissible and ``numeric`` elsewhere.
+    ``grid_points`` is checked whatever the source.
     """
+    build, source = _der_curve_builders(scenario, source, draws, seed, grid_points)
+    return build["agg"](), build["direct"](), source
+
+
+def _der_curve_builders(scenario, source, draws, seed, grid_points):
+    """A builder of each :func:`der_curves` curve, keyed ``agg`` and ``direct``,
+    and the source they read; a numeric curve is built only when its builder is called."""
+    _check_grid(grid_points)
     if source == "auto":
         try:
-            return der_curves(scenario, "closedform")
+            return _der_curve_builders(scenario, "closedform", draws, seed, grid_points)
         except AdmissibilityError:  # outside the closed forms' model or band
             source = "numeric"
     if source == "closedform":
         params = closed_form_params(scenario)
-        return aggregated_affine_curve(params), direct_affine_curve(params), source
+        return {"agg": lambda: aggregated_affine_curve(params),
+                "direct": lambda: direct_affine_curve(params)}, source
     if source == "numeric":
         inverse = _InverseResponse(scenario, draws, seed)
-        return (build_supply_curve_aggregated(inverse, grid_points),
-                build_supply_curve_direct(inverse), source)
+        return {"agg": lambda: build_supply_curve_aggregated(inverse, grid_points),
+                "direct": lambda: build_supply_curve_direct(inverse)}, source
     raise ValidationError(f"unknown curve_source {source!r}")
 
 

@@ -453,18 +453,30 @@ def _count_foc_calls(monkeypatch, scenario_file):
 
 def test_leader_evaluates_each_offer_once(monkeypatch):
     # one FOC call evaluates the whole offer table, then one each for the
-    # golden refinement's steps, the best vertex's profit and rho(x*)
+    # golden refinement's steps and the best vertex's profit; rho(x*) is
+    # the one the search evaluated at x*
     res, calls = _count_foc_calls(monkeypatch, "base.json")
     assert res.diagnostics.grid_points == 257  # 256 offers on [0, cbar] plus the support's low end
-    assert len(calls) <= res.diagnostics.refine_iterations + 5
+    assert len(calls) <= res.diagnostics.refine_iterations + 4
+
+
+@pytest.mark.parametrize("scenario_file,steps", [("base.json", 29), ("iid.json", 31)])
+def test_leader_stops_at_the_profit_resolution(scenario_file, steps):
+    # the profit is flat to rounding over sqrt(eps) of the offer, so the
+    # golden section stops there (it took 32 and 36 steps to reach 1e-9 * cbar)
+    sf = load_scenario(ROOT / "scenarios" / scenario_file)
+    s = sf.solver
+    res = dg.stackelberg_solve(sf.scenario, grid_points=s.rho_grid_points, draws=s.draws,
+                               seed=s.seed)
+    assert res.diagnostics.refine_iterations == steps
 
 
 def test_iid_leader_evaluates_the_coverage_term_once_per_offer(monkeypatch):
     # the Monte-Carlo coverage kernel takes one offer per FOC call: the
-    # table's offers, the golden steps, the best vertex's profit and rho(x*)
+    # table's offers, the golden steps and the best vertex's profit
     res, calls = _count_foc_calls(monkeypatch, "iid.json")
     assert res.diagnostics.grid_points < len(calls)
-    assert len(calls) <= res.diagnostics.grid_points + res.diagnostics.refine_iterations + 4
+    assert len(calls) <= res.diagnostics.grid_points + res.diagnostics.refine_iterations + 3
 
 
 @pytest.mark.parametrize("case", [
@@ -475,7 +487,6 @@ def test_table_matches_the_scalar_inverse_response(case):
     # rho on an array of offers equals rho offer by offer bit for bit, off
     # the offer grid too, and the hull's outlays are x * rho(x)
     iid4 = make_scenario(kind="iid", n=4)
-    iid4_tabulated = replace(iid4, d0=16.5, utility=dg.tabulated_utility(_TABLE))
     build = {
         "dependent": lambda: _InverseResponse(make_scenario(), 2000, 7),
         "deterministic": lambda: _InverseResponse(make_scenario(kind="deterministic"), 2000, 7),
@@ -483,7 +494,7 @@ def test_table_matches_the_scalar_inverse_response(case):
         "deterministic-tabulated": lambda: _InverseResponse(
             _deterministic_tabulated_scenario(), 20_000, 7),
         "meanfield": lambda: _MeanFieldInverse(iid4, 2000, 7),
-        "meanfield-tabulated": lambda: _MeanFieldInverse(iid4_tabulated, 20_000, 7),
+        "meanfield-tabulated": lambda: _MeanFieldInverse(_iid_tabulated_scenario(), 20_000, 7),
         "iid-n4": lambda: _InverseResponse(iid4, 2000, 7),
     }[case]
     inverse = build()
@@ -604,6 +615,10 @@ def _deterministic_tabulated_scenario():
     return dg.GameScenario(1, 11.0, dg.deterministic(10.0), dg.tabulated_utility(_TABLE), 4.0, 4.0)
 
 
+def _iid_tabulated_scenario():
+    return replace(make_scenario(kind="iid", n=4), d0=16.5, utility=dg.tabulated_utility(_TABLE))
+
+
 @pytest.mark.parametrize(
     "case", ["dependent-linear", "iid-n4", "tabulated", "deterministic-tabulated"])
 def test_leader_solution_lies_on_forward_response(case):
@@ -719,11 +734,31 @@ def _count_samples(monkeypatch):
 
 @pytest.mark.parametrize("grid_points", [64, 256])
 def test_tabulated_solve_samples_per_solve_not_per_offer(monkeypatch, grid_points):
-    # the bounds sample once for both ends; every offer reads the solve's
-    # sorted draws, whatever the grid size
+    # the bounds and every offer read the solve's one set of sorted draws,
+    # whatever the grid size
     calls = _count_samples(monkeypatch)
     dg.stackelberg_solve(_tabulated_scenario(), grid_points=grid_points, draws=20_000, seed=7)
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
+
+
+def test_tabulated_meanfield_solve_samples_once(monkeypatch):
+    # the mean field has no coverage term: its bounds, its offers and the
+    # forward response at rho* all read one set of E[u'] draws
+    calls = _count_samples(monkeypatch)
+    dg.meanfield_stackelberg(_iid_tabulated_scenario(), grid_points=64, draws=20_000, seed=7)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["dependent", "tabulated", "iid-tabulated"])
+def test_solve_bounds_equal_the_standalone_bounds(case):
+    # the bounds a solve reads off its own E[u'] draws are those that a
+    # standalone call samples afresh from the same draws and seed
+    sc = {
+        "dependent": make_scenario,
+        "tabulated": _tabulated_scenario,
+        "iid-tabulated": _iid_tabulated_scenario,
+    }[case]()
+    assert _InverseResponse(sc, 20_000, 7).bounds == dg.offer_price_bounds(sc, 20_000, 7)
 
 
 def test_linear_utility_solves_never_sample(monkeypatch):

@@ -40,7 +40,8 @@ SCALES = [(3.0, 1.0), (1.0, 0.37), (1.7, 2.5), (1e-3, 1e3), (1.0, 1e-3), (1.0, 1
 
 # where a relation holds up to rounding, and where a leader's argmax moves:
 # near x* the profit is flat to rounding over about sqrt(eps) of the offer,
-# so a rounding change can move the golden section's best point that far
+# where the golden section stops, so a rounding change can move its best
+# point that far
 EXACT, ARGMAX = 1e-12, 1e-7
 
 TABLE = [[0.0, 3.4], [12.0, 2.8], [22.0, 2.2], [34.0, 1.9]]

@@ -418,8 +418,8 @@ def test_aggregated_curve_matches_per_price_solves(kind, n):
 
 def test_numeric_curves_share_one_inverse_response(monkeypatch):
     # rho_1 reads rho_N's E[u'] draws and price bounds, which do not depend
-    # on N: one kernel for the bounds and one for rho, each sampling its
-    # draws, and one sample for the coverage term
+    # on N: one kernel, which the bounds read too, and one sample each for
+    # it and for the coverage term
     points = TABULATED_SCENARIO["scenario"]["utility"]["marginal_points"]
     sc = replace(make_scenario(kind="iid", n=4), utility=dg.tabulated_utility(points))
     calls = {"emu": 0, "bounds": 0, "sample": 0}
@@ -438,7 +438,19 @@ def test_numeric_curves_share_one_inverse_response(monkeypatch):
         monkeypatch.setattr(module, "_MarginalUtilityDraws", emu)
         monkeypatch.setattr(module, "sample", sample)
     dg.der_curves(sc, "numeric", draws=20_000, seed=7, grid_points=16)
-    assert calls == {"emu": 2, "bounds": 1, "sample": 3}
+    assert calls == {"emu": 1, "bounds": 1, "sample": 2}
+
+
+@pytest.mark.parametrize("grid_points", [0, -5])
+@pytest.mark.parametrize("source", ["closedform", "auto", "numeric"])
+def test_der_curves_check_the_grid_on_every_source(source, grid_points):
+    # the closed form reads no grid, but the same call must fail alike on every source
+    sc = make_scenario()
+    with pytest.raises(dg.ValidationError, match="^grid_points must be at least 4$"):
+        dg.der_curves(sc, source, grid_points=grid_points)
+    with pytest.raises(dg.ValidationError, match="^grid_points must be at least 4$"):
+        dg.price_of_aggregation(sc, [dg.GeneratorSpec(kappa=3.25)], 10.0, source,
+                                grid_points=grid_points)
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import deragg.cli as cli
+import deragg.market as market
 from deragg.agents import GameScenario, linear_utility, tabulated_utility
 from deragg.capacity import dependent_uniform, iid_uniform
 from deragg.equilibrium import _InverseResponse, meanfield_stackelberg
@@ -462,6 +463,32 @@ def test_cli_aggregated_curve_is_read_off_the_solver_grid(tmp_path, capsys):
     assert read_table(capsys.readouterr().out)[0]["cleared_der"] == cli._fmt(cleared)
     assert cli.main(["poag", paths[96], *settings]) == 0
     assert read_table(capsys.readouterr().out)[0]["cleared_der_aggregated"] == cli._fmt(cleared)
+
+
+@pytest.mark.parametrize("scenario", ["base.json", "iid.json"])
+def test_cli_direct_dispatch_builds_only_the_direct_curve(monkeypatch, capsys, scenario):
+    built = {"agg": 0, "direct": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(market, "build_supply_curve_aggregated",
+                        counted("agg", market.build_supply_curve_aggregated))
+    monkeypatch.setattr(market, "build_supply_curve_direct",
+                        counted("direct", market.build_supply_curve_direct))
+    path = str(SCENARIOS / scenario)
+    argv = ["dispatch", path, "--mode", "direct", "--curve-source", "numeric", "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert built == {"agg": 0, "direct": 1}
+    # it clears the direct curve that der_curves builds
+    sf, row = load_scenario(path), read_table(capsys.readouterr().out)[0]
+    _, direct, _ = market.der_curves(sf.scenario, "numeric", sf.solver.draws, 3,
+                                         sf.solver.rho_grid_points)
+    demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
+    assert row["cleared_der"] == cli._fmt(clear_market(sf.generators, demand, direct).cleared_der)
 
 
 def test_cli_supply_curve(tmp_path, capsys):
