@@ -212,7 +212,7 @@ def prosumer_payoff(
 class SolverDiagnostics:
     """What the equilibrium search did and whether its assumptions held."""
 
-    grid_points: int  # offers the hull was built on
+    grid_points: int  # offers the hull was built on: those up to the first above lambda_da
     refine_iterations: int
     concavity_ok: bool
     multiple_maxima: bool

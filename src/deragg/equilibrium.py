@@ -17,20 +17,22 @@ which is nondecreasing in x up to the Monte-Carlo h, whose draws make rho
 jump by up to about 2e-4 where a single one enters its event (iid, N >= 2).
 The aggregator therefore searches over the pooled offer instead of the
 price: it maximizes (lambda_da - rho(x)) * N * x and posts
-rho* = rho(x*).  One table of the outlay R(x) = x * rho(x) on a
-fixed set of offers answers this at every wholesale price: the leader takes
-the vertex of R's lower convex hull that is best at lambda_da and refines
-it by golden section, one FOC evaluation per golden step, until the
-bracket is as narrow as the profit can resolve, and the aggregated
-supply curve is the hull's slope.  The table itself is one
-numpy evaluation of rho over every offer, except where the Monte-Carlo
-coverage term h applies (iid, N >= 2): its kernel takes one offer per
-FOC evaluation.  The large-N independent limit has the explicit inverse
+rho* = rho(x*).  The leader tabulates the outlay R(x) = x * rho(x) on a
+fixed set of offers, in ascending order up to the first one priced above
+lambda_da (it and every larger offer lose money); both of its diagnostics
+describe the lower convex hull of R on those offers.  It takes the hull's
+vertex that is best at lambda_da and refines it by golden section, one
+FOC evaluation per golden step, until the bracket is as narrow as the
+profit can resolve.  The aggregated supply curve is the slope of the hull
+of the whole table.  The table is one numpy evaluation of rho, except
+where the Monte-Carlo coverage term h applies (iid, N >= 2): its kernel
+takes one offer per FOC evaluation.  The large-N independent limit has
+the explicit inverse
 rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
 Certain capacity is the same game without shortfall at x <= cbar, so
 rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one callable
-rho(x), taking one offer or an array of offers, together with its price
+rho(x), taking one offer or (without h) an array of offers, with its price
 bounds; the forward responses x*(rho) (:func:`symmetric_follower_response`,
 :func:`meanfield_solve`) are bisections of rho(x) = rho.  Its Monte-Carlo
 draws are sampled once per solve.  With a tabulated utility, the E[u']
@@ -181,7 +183,10 @@ def partial_coverage_samples(
         raise ValidationError(f"offer must be finite, got {x}")
     if caps is None:
         caps = _coverage_layout(sample(scenario.capacity, scenario.n_prosumers, seed, draws))
-    idx = np.flatnonzero(caps.rival_max[:caps.opened(x)] > x)
+    opened = caps.opened(x)
+    if not opened:  # below every event interval: the reduction would run on empty arrays
+        return np.zeros(caps.draws)
+    idx = np.flatnonzero(caps.rival_max[:opened] > x)
     own = caps.own[idx]
     s = np.zeros(len(idx))
     s_plus = np.zeros(len(idx))
@@ -345,10 +350,8 @@ class _InverseResponse:
         return self.scenario.capacity.kind == IID_UNIFORM and self.scenario.n_prosumers >= 2
 
     def __call__(self, x):
-        """rho at one offer, or at an array of offers in one numpy call; one
-        offer at a time under :attr:`per_offer`, so no offers-by-draws array is held."""
-        if np.ndim(x) and self.per_offer:
-            return np.array([self(v) for v in x.tolist()])
+        """rho at one offer, or at an array of offers in one numpy call unless
+        :attr:`per_offer`, whose coverage kernel takes one offer at a time."""
         rho_min = self.bounds[0]
         return rho_min - self.scenario.lambda_rt * follower_foc_gap(
             self.scenario, rho_min, x, draws=self.draws, seed=self.seed, _inverse=self
@@ -360,12 +363,20 @@ class _InverseResponse:
         # a sorted set, not np.unique, whose first call raises the process's peak memory
         return sorted({*np.linspace(0.0, model.cbar, n).tolist(), *model.support})
 
-    def hull(self, n: int) -> tuple[list[float], list[float], list[int]]:
-        """The offers, the outlays R(x) = x * rho(x) there, and the indices of
-        the offers on the lower convex hull of R, in ascending order."""
+    def hull(self, n: int, cap: float = math.inf) -> tuple[list, list, list, list[int]]:
+        """The offers in ascending order, up to and including the first whose rho
+        is above ``cap``, rho and the outlay R(x) = x * rho(x) at each, and the
+        indices of the offers on the lower convex hull of R.  Under :attr:`per_offer`
+        the offers are priced one at a time, and none past that first one."""
         xs = self.offers(n)
-        offers = np.asarray(xs)
-        rs = (offers * self(offers)).tolist()
+        priced = map(self, xs) if self.per_offer else self(np.asarray(xs)).tolist()
+        rhos = []
+        for rho in priced:
+            rhos.append(rho)
+            if rho > cap:
+                break
+        xs = xs[:len(rhos)]
+        rs = [x * rho for x, rho in zip(xs, rhos)]
         hull = []  # monotone chain over offer indices
         for i in range(len(xs)):
             while len(hull) >= 2:
@@ -378,7 +389,7 @@ class _InverseResponse:
                     break
                 hull.pop()
             hull.append(i)
-        return xs, rs, hull
+        return xs, rhos, rs, hull
 
     def forward(self, rho: float) -> float:
         """The offer x at which rho(x) = rho, bisected to a bracket of
@@ -405,13 +416,14 @@ def stackelberg_solve(
 
     The leader picks the pooled offer: the best vertex at lambda_da of the
     lower convex hull of x * rho(x) over ``grid_points`` offers on [0, cbar]
-    plus the support ends, refined by golden section between its
+    plus the support ends, up to the first one priced above lambda_da (the
+    hull both diagnostics describe), refined by golden section between its
     neighbouring offers to a bracket of ``_LEADER_TOL * cbar``, or of
     sqrt(eps) times the vertex where that is wider: the profit is flat to
     rounding over that much of the offer.  The offer table costs one FOC
     evaluation (one per offer with the Monte-Carlo coverage term, iid
-    N >= 2), each golden step one more and the vertex's profit one; the
-    posted price rho* = rho(x*) is the one the search evaluated at x*.
+    N >= 2) and each golden step one more; the posted price rho* = rho(x*)
+    is the one the search evaluated at x*.
     Where rho(x) is flat the followers are indifferent
     along the run, the hull skips it, and the leader buys its largest
     offer: with certain capacity and linear utility, the whole capacity at
@@ -427,15 +439,17 @@ def _offer_search(inverse, grid_points):
     """Maximise the leader profit (lambda_da - rho(x)) * N * x over x in [0, cbar].
 
     With lambda_da at or below rho_min no offer is profitable: the leader
-    posts rho* = lambda_da and buys nothing.  Otherwise the best offer is
-    the vertex of the lower convex hull of R(x) = x * rho(x) that
+    posts rho* = lambda_da and buys nothing.  Otherwise it prices the offers
+    in ascending order up to the first one above lambda_da, which like every
+    larger offer loses money as rho is nondecreasing.  The best offer is the
+    vertex of the lower convex hull of R(x) = x * rho(x) on them that
     maximises lambda_da * x - R(x), the one whose adjacent edge slopes
     bracket lambda_da.  Golden section refines between the offers on
     either side of it, to a bracket of ``_LEADER_TOL * cbar`` or of
     sqrt(eps) times the vertex, whichever is wider, fixed before the
-    search so that the steps scale with capacity, and the vertex itself
-    stays a candidate.  Both diagnostics are facts about
-    the hull: the profit is concave on the offers if every offer with
+    search so that the steps scale with capacity, and the vertex itself,
+    priced in the table, stays a candidate.  Both diagnostics are facts about
+    that hull: the profit is concave on the offers if every offer with
     rho(x) <= lambda_da lies on it, and the maximiser may not be unique
     if lambda_da is the slope of an ironed edge (one that skips offers)
     next to the chosen vertex.  Returns (x*, rho(x*), diagnostics).
@@ -446,14 +460,15 @@ def _offer_search(inverse, grid_points):
     if lambda_da <= inverse.bounds[0]:
         return 0.0, lambda_da, SolverDiagnostics(0, 0, True, False)
 
-    rhos = {}  # rho at each offer the search evaluates, to post rho(x*) without another
+    xs, table, rs, hull = inverse.hull(grid_points, cap=lambda_da)
+    best = max(hull, key=lambda i: lambda_da * xs[i] - rs[i])
+    rhos = {xs[best]: table[best]}  # rho at each offer the search prices, to post rho(x*)
 
     def profit(x):
-        rhos[x] = rho = inverse(x)
-        return (lambda_da - rho) * n * x
+        if x not in rhos:
+            rhos[x] = inverse(x)
+        return (lambda_da - rhos[x]) * n * x
 
-    xs, rs, hull = inverse.hull(grid_points)
-    best = max(hull, key=lambda i: lambda_da * xs[i] - rs[i])
     k = hull.index(best)
     around = hull[max(k - 1, 0):k + 2]
     multiple_maxima = any(
@@ -503,6 +518,8 @@ class _MeanFieldInverse(_InverseResponse):
 
     Nondecreasing in x, and flat at E[u'] up to x = E[C] where beta = 0.
     """
+
+    per_offer = False  # no Monte-Carlo coverage term: the table is one numpy call
 
     def __init__(self, scenario: GameScenario, draws: int, seed: int):
         if scenario.capacity.kind != IID_UNIFORM:

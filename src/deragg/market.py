@@ -318,7 +318,7 @@ def build_supply_curve_aggregated(
     _check_grid(n_points)
     rho_min, rho_max = inverse.bounds
     n = inverse.scenario.n_prosumers
-    xs, rs, hull = inverse.hull(n_points)
+    xs, _, rs, hull = inverse.hull(n_points)
     points = []
     for a, b in zip(hull, hull[1:]):
         slope = (rs[b] - rs[a]) / (xs[b] - xs[a])

@@ -422,7 +422,7 @@ def test_hull_diagnostics_on_an_ironed_edge():
     sc = _deterministic_tabulated_scenario()
     low = dg.stackelberg_solve(replace(sc, lambda_da=2.5), grid_points=64, draws=2000, seed=1)
     assert low.diagnostics.concavity_ok
-    xs, rs, hull = _InverseResponse(sc, 2000, 1).hull(64)
+    xs, _, rs, hull = _InverseResponse(sc, 2000, 1).hull(64)
     ((a, b),) = [(a, b) for a, b in zip(hull, hull[1:]) if b > a + 1]
     assert xs[a] < 9.0 < xs[b]
     slope = (rs[b] - rs[a]) / (xs[b] - xs[a])
@@ -439,6 +439,7 @@ def _count_foc_calls(monkeypatch, scenario_file):
     """Solve a shipped scenario; return the result and its follower_foc_gap calls."""
     sf = load_scenario(ROOT / "scenarios" / scenario_file)
     s = sf.solver
+    xs, rhos, _, _ = _InverseResponse(sf.scenario, s.draws, s.seed).hull(s.rho_grid_points)
     calls = []
     real = dg.equilibrium.follower_foc_gap
     monkeypatch.setattr(dg.equilibrium, "follower_foc_gap",
@@ -446,18 +447,21 @@ def _count_foc_calls(monkeypatch, scenario_file):
     res = dg.stackelberg_solve(
         sf.scenario, grid_points=s.rho_grid_points, draws=s.draws, seed=s.seed
     )
-    offers = _InverseResponse(sf.scenario, s.draws, s.seed).offers(s.rho_grid_points)
-    assert res.diagnostics.grid_points == len(offers)
+    # the table holds the offers up to and including the first priced above lambda_da
+    cut = next(i for i, rho in enumerate(rhos) if rho > sf.scenario.lambda_da)
+    assert res.diagnostics.grid_points == cut + 1 < len(xs)
     return res, calls
 
 
 def test_leader_evaluates_each_offer_once(monkeypatch):
-    # one FOC call evaluates the whole offer table, then one each for the
-    # golden refinement's steps and the best vertex's profit; rho(x*) is
-    # the one the search evaluated at x*
+    # one FOC call prices the offer table, then one each for the golden
+    # section's two first points and its steps; the best vertex's profit
+    # and rho(x*) are read off what the search has already priced
     res, calls = _count_foc_calls(monkeypatch, "base.json")
-    assert res.diagnostics.grid_points == 257  # 256 offers on [0, cbar] plus the support's low end
-    assert len(calls) <= res.diagnostics.refine_iterations + 4
+    # of 257 offers (256 on [0, cbar] plus the support's low end), the table
+    # stops at the first one above lambda_da = 4
+    assert res.diagnostics.grid_points == 142
+    assert len(calls) == res.diagnostics.refine_iterations + 3
 
 
 @pytest.mark.parametrize("scenario_file,steps", [("base.json", 29), ("iid.json", 31)])
@@ -473,10 +477,12 @@ def test_leader_stops_at_the_profit_resolution(scenario_file, steps):
 
 def test_iid_leader_evaluates_the_coverage_term_once_per_offer(monkeypatch):
     # the Monte-Carlo coverage kernel takes one offer per FOC call: the
-    # table's offers, the golden steps and the best vertex's profit
+    # table's offers, of which 30 of 97 lie past the first one above
+    # lambda_da and are never priced, and the golden section's points
     res, calls = _count_foc_calls(monkeypatch, "iid.json")
-    assert res.diagnostics.grid_points < len(calls)
-    assert len(calls) <= res.diagnostics.grid_points + res.diagnostics.refine_iterations + 3
+    assert res.diagnostics.grid_points == 67
+    assert len(calls) == res.diagnostics.grid_points + res.diagnostics.refine_iterations + 2
+    assert len(calls) == 100
 
 
 @pytest.mark.parametrize("case", [
@@ -499,11 +505,89 @@ def test_table_matches_the_scalar_inverse_response(case):
     }[case]
     inverse = build()
     xs = inverse.offers(32) + np.linspace(0.0, inverse.scenario.capacity.cbar, 13)[1:-1].tolist()
-    assert inverse(np.asarray(xs)).tolist() == [inverse(x) for x in xs]
-    offers, rs, _ = inverse.hull(32)
-    assert rs == [x * inverse(x) for x in offers]
+    if inverse.per_offer:  # the coverage kernel takes one offer at a time
+        with pytest.raises(dg.ValidationError, match="one offer at a time"):
+            inverse(np.asarray(xs))
+    else:
+        assert inverse(np.asarray(xs)).tolist() == [inverse(x) for x in xs]
+    offers, rhos, rs, _ = inverse.hull(32)
+    assert rhos == [inverse(x) for x in offers]
+    assert rs == [x * rho for x, rho in zip(offers, rhos)]
     if case.startswith("meanfield"):
         assert "caps" not in vars(inverse)  # no coverage layout behind the mean field
+
+
+@pytest.mark.parametrize("case", [
+    "dependent", "deterministic", "tabulated", "deterministic-tabulated", "iid-n2", "iid-n4",
+    "meanfield",
+])
+def test_leader_table_stops_at_the_first_offer_above_lambda_da(monkeypatch, case):
+    # rho is nondecreasing up to Monte-Carlo noise, so the first offer priced
+    # above lambda_da and every larger one lose money: the table cut there
+    # gives the same best vertex, the same grid neighbours around it (the
+    # golden bracket), the same ironed-edge test and the same solve as the
+    # whole table, and its hull can only be the more concave of the two
+    cls, sc, draws = {
+        "dependent": (_InverseResponse, make_scenario(), 2000),
+        "deterministic": (_InverseResponse, make_scenario(kind="deterministic"), 2000),
+        "tabulated": (_InverseResponse, _tabulated_scenario(), 20_000),
+        "deterministic-tabulated": (_InverseResponse, _deterministic_tabulated_scenario(), 20_000),
+        "iid-n2": (_InverseResponse, make_scenario(kind="iid", n=2), 2000),
+        "iid-n4": (_InverseResponse, make_scenario(kind="iid", n=4), 2000),
+        "meanfield": (_MeanFieldInverse, make_scenario(kind="iid", n=4), 2000),
+    }[case]
+    rho_min, rho_max = cls(sc, draws, 7).bounds
+    lambdas = [rho_min + d for d in (1e-7, 1e-6, 1e-5, 1e-4)]
+    lambdas += np.linspace(rho_min, rho_max, 12)[1:-1].tolist()
+    brackets = []
+    real_golden = dg.equilibrium._golden_max
+    monkeypatch.setattr(dg.equilibrium, "_golden_max",
+                        lambda fn, a, b, tol: brackets.append((a, b)) or real_golden(fn, a, b, tol))
+
+    def solve(lambda_da):
+        x, rho, diag = dg.equilibrium._offer_search(
+            cls(replace(sc, lambda_da=lambda_da), draws, 7), 64)
+        return (x, rho, diag.refine_iterations, diag.multiple_maxima, brackets[-1]), diag
+
+    capped = [solve(lambda_da) for lambda_da in lambdas]
+    whole = _InverseResponse.hull
+    monkeypatch.setattr(_InverseResponse, "hull", lambda self, n, cap=math.inf: whole(self, n))
+    cuts = 0
+    for lambda_da, (got, got_diag) in zip(lambdas, capped):
+        want, want_diag = solve(lambda_da)
+        assert got == want, lambda_da
+        assert got_diag.grid_points <= want_diag.grid_points
+        assert got_diag.concavity_ok >= want_diag.concavity_ok
+        cuts += got_diag.grid_points < want_diag.grid_points
+    # rho is flat at gamma on [0, cbar] under certain capacity and linear utility
+    assert cuts == 0 if case == "deterministic" else cuts >= 5
+
+
+def test_concavity_flag_describes_the_leader_table():
+    # capacity installed up to cbar = 20, above the support top 15.7: there
+    # rho stops rising, so R(x) = x * rho(x) is not convex, and the hull of
+    # the whole table irons across it from below some profitable offers.
+    # The profit is concave wherever it is positive, and the table the leader
+    # builds stops at the first offer above lambda_da = 5, short of the kink
+    sc = dg.GameScenario(1, 25.0, dg.dependent_uniform(10.0, 3.3, cbar=20.0),
+                         dg.linear_utility(2.5), 5.0, 4.0)
+    res = dg.stackelberg_solve(sc)
+    assert res.diagnostics.concavity_ok
+    assert (res.x_star, res.rho_star) == (5.7144709268240845, 3.0004537187769196)
+
+
+def test_meanfield_table_is_one_numpy_call(monkeypatch):
+    # the mean field carries no Monte-Carlo coverage term, so it prices its
+    # offer table in one vectorised call though its capacities are iid, N = 4
+    inverse = _MeanFieldInverse(make_scenario(kind="iid", n=4), 2000, 7)
+    assert not inverse.per_offer
+    calls = []
+    real = dg.equilibrium._meanfield_beta
+    monkeypatch.setattr(dg.equilibrium, "_meanfield_beta",
+                        lambda model, x: calls.append(np.ndim(x)) or real(model, x))
+    xs, _, _, _ = inverse.hull(64, cap=inverse.scenario.lambda_da)
+    assert calls == [1]
+    assert len(xs) < len(inverse.offers(64))
 
 
 def test_deterministic_tabulated_follower_matches_payoff_argmax():
