@@ -32,6 +32,7 @@ from .closedform import (
     ProcurementCosts,
     UniformLinearParams,
     closed_form_equilibrium,
+    closed_form_params,
     inverse_supply_aggregated,
     inverse_supply_direct,
     procurement_costs,
@@ -52,7 +53,6 @@ from .errors import (
     DerAggError,
     MarketInfeasibleError,
     SolverError,
-    UnsupportedOperationError,
     ValidationError,
 )
 from .market import (
@@ -64,7 +64,6 @@ from .market import (
     build_supply_curve_aggregated,
     build_supply_curve_direct,
     clear_market,
-    closed_form_params,
     der_curves,
     direct_affine_curve,
     price_of_aggregation,

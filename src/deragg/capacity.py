@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedOperationError, ValidationError
+from .errors import ValidationError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -99,17 +99,16 @@ def iid_uniform(mu: float, sigma: float, cbar: float | None = None) -> CapacityM
 
 
 def cdf_marginal(model: CapacityModel, c):
-    """Marginal cdf of one prosumer's capacity, vectorized over ``c``.
+    """P(C < c) for one prosumer's capacity, vectorized over ``c``.
 
-    Undefined (step function) for the deterministic kind; callers must
-    branch on ``model.kind`` there.
+    For certain capacity it is the step 1{c > cbar}: no shortfall while
+    c <= cbar.  For the uniform kinds it equals the cdf.
     """
-    if model.kind not in UNIFORM_KINDS:
-        raise UnsupportedOperationError(
-            "cdf_marginal is a step for deterministic capacity; branch on model.kind"
-        )
-    lo, hi = model.support
-    out = np.clip((np.asarray(c, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
+    if model.kind == DETERMINISTIC:
+        out = np.greater(c, model.cbar) * 1.0
+    else:
+        lo, hi = model.support
+        out = np.clip((np.asarray(c, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 

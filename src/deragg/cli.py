@@ -2,7 +2,8 @@
 clear markets, run sweeps, and emit figure-ready CSV files.
 
 Exit codes: 0 ok, 2 invalid scenario or an ``--out`` that cannot be
-written, 3 solver non-convergence, 4 closed-form admissibility violation.
+written, 3 solver non-convergence or a ``sweep`` with a failed point,
+4 closed-form admissibility violation.
 
 ``main(argv)`` may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it after that, and it looks
@@ -25,11 +26,12 @@ from .capacity import SQRT3
 from .closedform import (
     UniformLinearParams,
     closed_form_equilibrium,
+    closed_form_params,
     inverse_supply_aggregated,
     inverse_supply_direct,
     procurement_costs,
 )
-from .equilibrium import _InverseResponse, meanfield_stackelberg, stackelberg_solve
+from .equilibrium import meanfield_stackelberg, stackelberg_solve
 from .errors import (
     AdmissibilityError,
     MarketInfeasibleError,
@@ -39,10 +41,7 @@ from .errors import (
 from .market import (
     TIE_RULE,
     _der_curve_builders,
-    build_supply_curve_aggregated,
-    build_supply_curve_direct,
     clear_market,
-    closed_form_params,
     price_of_aggregation,
 )
 from .penalty import penalty_shares
@@ -220,9 +219,8 @@ def cmd_equilibrium(args) -> int:
 def cmd_supply_curve(args) -> int:
     sf = _load(args)
     s = sf.solver
-    inverse = _InverseResponse(sf.scenario, s.draws, s.seed)
-    curve = (build_supply_curve_aggregated(inverse, s.rho_grid_points) if args.mode == "agg"
-             else build_supply_curve_direct(inverse))
+    build, _ = _der_curve_builders(sf.scenario, "numeric", s.draws, s.seed, s.rho_grid_points)
+    curve = build[args.mode]()
     _write(args, sf, [{"quantity": q, "price": p} for q, p in curve.breakpoints])
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import LINEAR
+from .agents import LINEAR, GameScenario
 from .capacity import DEPENDENT_UNIFORM, SQRT3
 from .errors import AdmissibilityError
 
@@ -83,6 +83,22 @@ class UniformLinearParams:
     @property
     def support(self) -> tuple[float, float]:
         return (self.mu - self.half_width, self.mu + self.half_width)
+
+
+def closed_form_params(scenario: GameScenario) -> UniformLinearParams:
+    """Closed-form parameters of a dependent-uniform linear scenario, else AdmissibilityError."""
+    if not closed_form_applies(scenario):
+        raise AdmissibilityError(
+            "closed forms need fully dependent uniform capacity and linear utility"
+        )
+    return UniformLinearParams(
+        gamma=scenario.utility.gamma,
+        mu=scenario.capacity.mu,
+        sigma=scenario.capacity.sigma,
+        lambda_da=scenario.lambda_da,
+        lambda_rt=scenario.lambda_rt,
+        n_prosumers=scenario.n_prosumers,
+    )
 
 
 @dataclass(frozen=True)

@@ -63,14 +63,9 @@ from .agents import (
     _MarginalUtilityDraws,
     expected_marginal_utility,
 )
-from .capacity import (
-    DETERMINISTIC,
-    IID_UNIFORM,
-    cdf_marginal,
-    expected_shortfall,
-    sample,
-)
-from .errors import SolverError, ValidationError
+from .capacity import IID_UNIFORM, cdf_marginal, expected_shortfall, sample
+from .closedform import closed_form_applies, closed_form_params
+from .errors import AdmissibilityError, SolverError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
 
 DEFAULT_GRID_POINTS = 256
@@ -261,7 +256,8 @@ def follower_foc_gap(
 
     Positive means the prosumer wants to offer more; strictly decreasing in
     ``x`` on the capacity support for prices strictly inside the bounds.
-    Certain capacity runs short only above cbar, so its gap is
+    The shortfall term reads :func:`~deragg.capacity.cdf_marginal`, P(C < x):
+    certain capacity runs short only above cbar, so its gap is
     ``(rho - E[u'])/lambda_rt - 1{x > cbar}``.  ``x`` may be an array of
     offers unless the Monte-Carlo coverage term applies (iid, N >= 2),
     which takes one offer at a time.  Every draw the gap reads, for E[u']
@@ -274,10 +270,7 @@ def follower_foc_gap(
     inverse = _InverseResponse(scenario, draws, seed) if _inverse is None else _inverse
     model = scenario.capacity
     lhs = (rho - inverse.marginal_utility(x)) / scenario.lambda_rt
-    if model.kind == DETERMINISTIC:
-        diag_cdf = np.greater(x, model.cbar) * 1.0
-    else:
-        diag_cdf = cdf_marginal(model, x)
+    diag_cdf = cdf_marginal(model, x)
     h = 0.0
     if model.kind == IID_UNIFORM:
         diag_cdf = diag_cdf**scenario.n_prosumers
@@ -286,7 +279,7 @@ def follower_foc_gap(
             raise ValidationError("the coverage term takes one offer at a time")
         h = float(partial_coverage_samples(scenario, x, draws, seed, caps=inverse.caps).mean())
     gap = lhs - diag_cdf - h
-    return gap if np.ndim(gap) else float(gap)
+    return gap if getattr(gap, "ndim", 0) else float(gap)  # np.ndim would make a float an array
 
 
 def symmetric_follower_response(
@@ -582,15 +575,13 @@ def meanfield_stackelberg(
 def _warn_if_off_band(scenario: GameScenario) -> None:
     # the numeric search stays defined off the closed-form band, but the
     # equilibrium price path pins to its boundary there; flag it
-    from .closedform import closed_form_applies, sigma_band
-
-    cap = scenario.capacity
     if not closed_form_applies(scenario) or scenario.lambda_da <= scenario.utility.gamma:
         return
-    lo, hi = sigma_band(scenario.utility.gamma, cap.mu, scenario.lambda_da, scenario.lambda_rt)
-    if not lo - 1e-12 <= cap.sigma <= hi + 1e-12:
+    try:
+        closed_form_params(scenario)
+    except AdmissibilityError as exc:
         warnings.warn(
-            f"sigma={cap.sigma:.6g} outside the closed-form band [{lo:.6g}, {hi:.6g}]; "
+            f"sigma={scenario.capacity.sigma:.6g} outside the closed-form band: {exc}; "
             "numeric equilibrium remains defined but has no closed-form counterpart",
             stacklevel=3,
         )

@@ -11,10 +11,6 @@ class ValidationError(DerAggError, ValueError):
     """Inputs violate a documented contract (domain, shape, or invariant)."""
 
 
-class UnsupportedOperationError(DerAggError, TypeError):
-    """Operation is undefined for the given model kind."""
-
-
 class AdmissibilityError(DerAggError, ValueError):
     """Closed-form parameters lie outside the region where the formulas hold."""
 

@@ -29,7 +29,7 @@ from .agents import GameScenario
 from .capacity import DEPENDENT_UNIFORM
 from .closedform import (
     UniformLinearParams,
-    closed_form_applies,
+    closed_form_params,
     inverse_supply_aggregated,
     inverse_supply_direct,
 )
@@ -313,7 +313,10 @@ def build_supply_curve_aggregated(
     for a quadratic R; a wider edge is ironed, flat at its slope between
     its ends, and the curve rises from its right end.  The curve starts at
     quantity 0 and is cut at the wholesale price rho_max, at which the
-    followers offer their whole capacity.
+    followers offer their whole capacity.  Where its first point is already
+    priced at rho_max, as under a first edge ironed at that slope, the cut
+    is at quantity 0: the curve is the one point (0, rho_max), and the
+    aggregator offers nothing at any price.
     """
     _check_grid(n_points)
     rho_min, rho_max = inverse.bounds
@@ -331,6 +334,8 @@ def build_supply_curve_aggregated(
     # the cut
     tol = 1e-12 * (rho_max - rho_min)
     k = next((k for k, (_, p) in enumerate(points) if p > rho_max - tol), None)
+    if k == 0:
+        return SupplyCurve(((0.0, rho_max), (0.0, rho_max)))
     if k is None:
         points.append((n * xs[-1], rho_max))
     else:
@@ -395,22 +400,6 @@ class PoAgReport:
     @property
     def demand(self) -> float:
         return self.outcome_noder.demand
-
-
-def closed_form_params(scenario: GameScenario) -> UniformLinearParams:
-    """Closed-form parameters of a dependent-uniform linear scenario, else AdmissibilityError."""
-    if not closed_form_applies(scenario):
-        raise AdmissibilityError(
-            "closed forms need fully dependent uniform capacity and linear utility"
-        )
-    return UniformLinearParams(
-        gamma=scenario.utility.gamma,
-        mu=scenario.capacity.mu,
-        sigma=scenario.capacity.sigma,
-        lambda_da=scenario.lambda_da,
-        lambda_rt=scenario.lambda_rt,
-        n_prosumers=scenario.n_prosumers,
-    )
 
 
 def der_curves(

@@ -14,7 +14,7 @@ import numpy as np
 from .capacity import sample
 from .errors import ValidationError
 
-#: floor for any expectation that feeds a solver
+#: fewest draws :func:`expected_penalty` accepts; no solver reads that expectation
 MIN_DRAWS = 10_000
 DEFAULT_DRAWS = 100_000
 DEFAULT_SEED = 0

@@ -75,9 +75,13 @@ def test_cdf_monotone_and_unit_mass():
         assert dg.cdf_marginal(m, hi) - dg.cdf_marginal(m, lo) == 1.0
 
 
-def test_cdf_rejected_for_deterministic():
-    with pytest.raises(dg.UnsupportedOperationError):
-        dg.cdf_marginal(dg.deterministic(10.0), 5.0)
+def test_cdf_is_the_shortfall_step_for_deterministic():
+    # P(C < c) for C = 10: no shortfall while the offer is at most cbar
+    m = dg.deterministic(10.0)
+    assert dg.cdf_marginal(m, [9.0, 10.0, 10.5]).tolist() == [0.0, 0.0, 1.0]
+    for c, want in ((10.0, 0.0), (10.5, 1.0)):
+        got = dg.cdf_marginal(m, c)
+        assert type(got) is float and got == want
 
 
 def test_expected_shortfall_closed_form_vs_montecarlo():

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -606,6 +607,28 @@ def test_off_band_warning_points_at_the_caller():
     with pytest.warns(UserWarning, match="outside the closed-form band") as record:
         dg.stackelberg_solve(make_scenario(sigma=3.0), grid_points=32)
     assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("lambda_da", [4.0, 2.5, 2.0])
+@pytest.mark.parametrize("end,step", [(0, -1e-11), (0, 0.0), (0, 1e-11),
+                                      (1, -1e-11), (1, 0.0), (1, 1e-11)])
+def test_off_band_warning_fires_exactly_where_the_closed_form_is_refused(lambda_da, end, step):
+    # just inside, on and just outside each end of the band at lambda_da = 4; at
+    # lambda_da <= gamma the closed form is refused, but the leader buys nothing
+    sigma = dg.sigma_band(2.5, 10.0, 4.0, 4.0)[end] * (1.0 + step)
+    sc = make_scenario(sigma=sigma, lambda_da=lambda_da)
+    try:
+        dg.closed_form_params(sc)
+        refused = False
+    except dg.AdmissibilityError:
+        refused = True
+    assert refused == (lambda_da <= 2.5 or step * (2 * end - 1) > 0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        dg.stackelberg_solve(sc, grid_points=8)
+    fired = [str(w.message) for w in record]
+    assert len(fired) == (refused and lambda_da > 2.5)
+    assert all(m.startswith(f"sigma={sigma:.6g} outside the closed-form band") for m in fired)
 
 
 def test_stackelberg_zero_wholesale_price():

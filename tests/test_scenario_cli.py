@@ -293,6 +293,33 @@ def test_cli_rejects_draws_below_one(command, draws, tmp_path, capsys):
     assert_one_line_rejection(code, capsys, f"draws must be >= 1, got {draws}")
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != ["figures"]], ids=lambda c: c[0])
+def test_cli_rejects_a_scenario_file_that_is_not_utf8(command, tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(BASE).encode("utf-16-le"))
+    code = cli.main([command[0], str(path), *command[1:]])
+    assert_one_line_rejection(code, capsys, f"{path}: not UTF-8 text")
+
+
+def test_cli_market_commands_where_the_aggregated_curve_starts_at_rho_max(tmp_path, capsys):
+    # support [0, 0.01] under cbar 10, on the sigma_max edge of the closed-form band:
+    # over 8 offers x * rho(x) is one edge from 0 to 10 ironed at slope rho_max = 6.5,
+    # so the aggregated curve is cut at quantity 0 and offers nothing
+    capacity = {"kind": "dependent_uniform", "mu": 0.005, "sigma": 0.005 / math.sqrt(3),
+                "cbar": 10.0}
+    path = write_scenario(tmp_path, deep(BASE, (("scenario", "capacity"), capacity),
+                                         (("scenario", "d0"), 11.0),
+                                         (("solver", "rho_grid_points"), 8)))
+    assert cli.main(["supply-curve", path, "--mode", "agg"]) == cli.EXIT_OK
+    assert read_table(capsys.readouterr().out) == [{"quantity": "0", "price": "6.5"}] * 2
+    assert cli.main(["poag", path, "--curve-source", "numeric"]) == cli.EXIT_OK
+    row = read_table(capsys.readouterr().out)[0]
+    assert row["cleared_der_aggregated"] == "0"
+    assert float(row["poag"]) == pytest.approx(1.0000216, abs=1e-7)
+    assert cli.main(["dispatch", path, "--mode", "agg", "--curve-source", "numeric"]) == 0
+    assert read_table(capsys.readouterr().out)[0]["cleared_der"] == "0"
+
+
 def test_cli_validate_closed_form_band(tmp_path, capsys):
     off_band = deep(BASE, (("scenario", "capacity", "sigma"), 3.0))
     path = write_scenario(tmp_path, off_band)
@@ -548,13 +575,29 @@ def test_cli_figures_fig5_ordering(tmp_path):
         assert no_der >= agg >= direct
 
 
-def test_cli_figures_needs_an_output_directory():
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize("argv", [["validate", "base.json"],
+                                  ["equilibrium", "base.json", "--seed", "3"]], ids=lambda a: a[0])
+def test_python_m_deragg_prints_what_main_prints(argv, capsys):
+    argv = [argv[0], str(SCENARIOS / argv[1]), *argv[2:]]
+    proc = subprocess.run([sys.executable, "-m", "deragg", *argv], env=src_env(),
+                          capture_output=True, text=True)
+    assert cli.main(argv) == proc.returncode == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+def test_cli_figures_needs_an_output_directory():
     proc = subprocess.run([sys.executable, "-m", "deragg", "figures", "fig3", "--seed", "3"],
-                          env=env, capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 2
     assert "the following arguments are required: --out" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -562,10 +605,6 @@ def test_cli_figures_needs_an_output_directory():
 
 @pytest.mark.parametrize("case", ["missing-directory", "file-as-directory"])
 def test_cli_unwritable_out_exits_2_in_one_line(tmp_path, case):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
-    )
     if case == "missing-directory":
         out = tmp_path / "missing" / "eq.csv"
         argv = ["equilibrium", str(SCENARIOS / "base.json"), "--out", str(out)]
@@ -573,7 +612,7 @@ def test_cli_unwritable_out_exits_2_in_one_line(tmp_path, case):
         out = tmp_path / "taken"
         out.write_text("", encoding="utf-8")
         argv = ["figures", "fig3", "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-m", "deragg", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "deragg", *argv], env=src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"cannot write {out}: ")
@@ -582,17 +621,13 @@ def test_cli_unwritable_out_exits_2_in_one_line(tmp_path, case):
 
 def test_importing_the_package_leaves_the_cli_unbuilt():
     # bench/probe.py times this import as setup_s; the parser is built by main, not on import
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")) if p
-    )
     # numpy.polynomial, which holds the exact coverage term's Gauss-Legendre rule,
     # loads on first use: only where a bare import numpy already loads it
     code = ("import sys, numpy; bare = 'numpy.polynomial' in sys.modules; "
             "import deragg, deragg.scenario; "
             "print(sorted({'deragg.cli', 'argparse'} & set(sys.modules)), "
             "('numpy.polynomial' in sys.modules) == bare)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[] True"
 
