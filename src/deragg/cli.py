@@ -40,8 +40,8 @@ from .errors import (
 )
 from .market import (
     TIE_RULE,
-    _der_curve_builders,
     clear_market,
+    der_curves,
     price_of_aggregation,
 )
 from .penalty import penalty_shares
@@ -219,7 +219,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_supply_curve(args) -> int:
     sf = _load(args)
     s = sf.solver
-    build, _ = _der_curve_builders(sf.scenario, "numeric", s.draws, s.seed, s.rho_grid_points)
+    build, _ = der_curves(sf.scenario, "numeric", s.draws, s.seed, s.rho_grid_points)
     curve = build[args.mode]()
     _write(args, sf, [{"quantity": q, "price": p} for q, p in curve.breakpoints])
     return EXIT_OK
@@ -231,8 +231,8 @@ def cmd_dispatch(args) -> int:
     curve = None
     if args.mode != "noder":
         s = sf.solver
-        build, _ = _der_curve_builders(sf.scenario, args.curve_source, s.draws, s.seed,
-                                       s.rho_grid_points)
+        build, _ = der_curves(sf.scenario, args.curve_source, s.draws, s.seed,
+                              s.rho_grid_points)
         curve = build[args.mode]()  # only the curve that clears
     outcome = clear_market(sf.generators, demand, curve)
     _write(args, sf, [{

@@ -16,18 +16,11 @@ response explicitly,
 which is nondecreasing in x up to the Monte-Carlo h, whose draws make rho
 jump by up to about 2e-4 where a single one enters its event (iid, N >= 2).
 The aggregator therefore searches over the pooled offer instead of the
-price: it maximizes (lambda_da - rho(x)) * N * x and posts
-rho* = rho(x*).  The leader tabulates the outlay R(x) = x * rho(x) on a
-fixed set of offers, in ascending order up to the first one priced above
-lambda_da (it and every larger offer lose money); both of its diagnostics
-describe the lower convex hull of R on those offers.  It takes the hull's
-vertex that is best at lambda_da and refines it by golden section, one
-FOC evaluation per golden step, until the bracket is as narrow as the
-profit can resolve.  The aggregated supply curve is the slope of the hull
-of the whole table.  The table is one numpy evaluation of rho, except
-where the Monte-Carlo coverage term h applies (iid, N >= 2): its kernel
-takes one offer per FOC evaluation.  The large-N independent limit has
-the explicit inverse
+price: it maximizes (lambda_da - rho(x)) * N * x on the lower convex hull
+of the outlay x * rho(x) over a table of offers and posts rho* = rho(x*)
+(:func:`_offer_search` gives the full account).  The aggregated supply
+curve is the slope of the hull of the whole table.  The large-N
+independent limit has the explicit inverse
 rho(x) = E[u'] + lambda_rt * beta(x) * F(x) with
 beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
 Certain capacity is the same game without shortfall at x <= cbar, so
@@ -386,17 +379,30 @@ class _InverseResponse:
 
     def forward(self, rho: float) -> float:
         """The offer x at which rho(x) = rho, bisected to a bracket of
-        ``_FORWARD_TOL * cbar``: 0 at or below rho_min, cbar at or above rho_max."""
+        ``_FORWARD_TOL * cbar``: 0 at or below rho_min = rho(0), cbar at or
+        above rho_max or rho(cbar).  A price strictly inside the bounds costs
+        41 rho evaluations: one at cbar and one per halving, of which 40 take
+        the bracket below ``_FORWARD_TOL * cbar``."""
         if not math.isfinite(rho):
             raise ValidationError(f"price must be finite, got {rho}")
         rho_min, rho_max = self.bounds
         cbar = self.scenario.capacity.cbar
         if rho <= rho_min:
             return 0.0
-        if rho >= rho_max:
+        # certain capacity stops short of rho_max
+        if rho >= rho_max or rho >= self(cbar):
             return cbar
-        tol = _FORWARD_TOL * cbar
-        return _bisect_decreasing(lambda x: rho - self(x), 0.0, cbar, tol, MAX_BISECT_ITER)[0]
+        lo, hi, tol = 0.0, cbar, _FORWARD_TOL * cbar
+        for _ in range(MAX_BISECT_ITER):
+            mid = 0.5 * (lo + hi)
+            if rho > self(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol:
+                return 0.5 * (lo + hi)
+        raise SolverError("bisection did not reach tolerance", bracket=(lo, hi),
+                          width=hi - lo, tol=tol)
 
 
 def stackelberg_solve(
@@ -405,22 +411,9 @@ def stackelberg_solve(
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> EquilibriumResult:
-    """Leader's optimal price against the symmetric response curve.
-
-    The leader picks the pooled offer: the best vertex at lambda_da of the
-    lower convex hull of x * rho(x) over ``grid_points`` offers on [0, cbar]
-    plus the support ends, up to the first one priced above lambda_da (the
-    hull both diagnostics describe), refined by golden section between its
-    neighbouring offers to a bracket of ``_LEADER_TOL * cbar``, or of
-    sqrt(eps) times the vertex where that is wider: the profit is flat to
-    rounding over that much of the offer.  The offer table costs one FOC
-    evaluation (one per offer with the Monte-Carlo coverage term, iid
-    N >= 2) and each golden step one more; the posted price rho* = rho(x*)
-    is the one the search evaluated at x*.
-    Where rho(x) is flat the followers are indifferent
-    along the run, the hull skips it, and the leader buys its largest
-    offer: with certain capacity and linear utility, the whole capacity at
-    rho* = rho_min.
+    """Leader's optimal price against the symmetric response curve: the
+    posted price rho*, the follower offer x* and the search's diagnostics,
+    from :func:`_offer_search` on one inverse response of ``scenario``.
     """
     _warn_if_off_band(scenario)
     inverse = _InverseResponse(scenario, draws, seed)
@@ -432,20 +425,31 @@ def _offer_search(inverse, grid_points):
     """Maximise the leader profit (lambda_da - rho(x)) * N * x over x in [0, cbar].
 
     With lambda_da at or below rho_min no offer is profitable: the leader
-    posts rho* = lambda_da and buys nothing.  Otherwise it prices the offers
-    in ascending order up to the first one above lambda_da, which like every
-    larger offer loses money as rho is nondecreasing.  The best offer is the
-    vertex of the lower convex hull of R(x) = x * rho(x) on them that
-    maximises lambda_da * x - R(x), the one whose adjacent edge slopes
-    bracket lambda_da.  Golden section refines between the offers on
-    either side of it, to a bracket of ``_LEADER_TOL * cbar`` or of
-    sqrt(eps) times the vertex, whichever is wider, fixed before the
-    search so that the steps scale with capacity, and the vertex itself,
-    priced in the table, stays a candidate.  Both diagnostics are facts about
-    that hull: the profit is concave on the offers if every offer with
-    rho(x) <= lambda_da lies on it, and the maximiser may not be unique
-    if lambda_da is the slope of an ironed edge (one that skips offers)
-    next to the chosen vertex.  Returns (x*, rho(x*), diagnostics).
+    posts rho* = lambda_da, buys nothing and prices no offer.  Otherwise it
+    prices ``grid_points`` offers on [0, cbar] plus the support ends (the
+    kinks of F) in ascending order, up to the first one above lambda_da,
+    which like every larger offer loses money as rho is nondecreasing.
+    That table is one evaluation of rho over every offer, except where the
+    Monte-Carlo coverage term h applies (iid, N >= 2): its kernel takes one
+    offer per evaluation, so no offers x draws array is held.  The best
+    offer is the vertex of the lower convex hull of R(x) = x * rho(x) on
+    the table that maximises lambda_da * x - R(x), the one whose adjacent
+    edge slopes bracket lambda_da.  Golden section refines between the
+    offers on either side of it, one rho evaluation per step, to a bracket
+    of ``_LEADER_TOL * cbar`` or of sqrt(eps) times the vertex, whichever
+    is wider, fixed before the search so that the steps scale with
+    capacity: the profit is flat to rounding over sqrt(eps) of the offer,
+    so narrower steps only choose among ties.  The vertex itself, priced in
+    the table, stays a candidate, and the posted rho* = rho(x*) is the one
+    the search evaluated at x*.  Where rho(x) is flat the followers are
+    indifferent along the run, the hull skips it, and the leader buys its
+    largest offer: with certain capacity and linear utility, the whole
+    capacity at rho* = rho_min.  Both diagnostic flags are facts about that
+    hull: the profit is concave on the offers if every offer with
+    rho(x) <= lambda_da lies on it, and the maximiser may not be unique if
+    lambda_da is the slope of an ironed edge (one that skips offers) next
+    to the chosen vertex; the diagnostics also count the offers in the
+    table and the golden steps.  Returns (x*, rho(x*), diagnostics).
     """
     _check_grid(grid_points)
     scenario = inverse.scenario
@@ -585,32 +589,6 @@ def _warn_if_off_band(scenario: GameScenario) -> None:
             "numeric equilibrium remains defined but has no closed-form counterpart",
             stacklevel=3,
         )
-
-
-def _bisect_decreasing(fn, lo, hi, tol, max_iter):
-    """Root of a decreasing scalar function; returns (x, fn(x), iterations)."""
-    flo = fn(lo)
-    if flo <= 0.0:
-        return lo, flo, 0
-    fhi = fn(hi)
-    if fhi >= 0.0:
-        return hi, fhi, 0
-    fmid = flo
-    for k in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi), fmid, k
-    raise SolverError(
-        "bisection did not reach tolerance",
-        bracket=(lo, hi),
-        width=hi - lo,
-        tol=tol,
-    )
 
 
 def _golden_max(fn, a, b, tol):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,7 +207,7 @@ class DispatchOutcome:
 
     def __post_init__(self):
         served = sum(self.cleared_generator) + self.cleared_der
-        if abs(served - self.demand) > _BALANCE_RTOL * max(self.demand, 1.0):
+        if abs(served - self.demand) > _BALANCE_RTOL * self.demand:
             raise ValidationError(
                 f"supply {served!r} does not balance demand {self.demand!r}"
             )
@@ -250,7 +251,7 @@ def clear_market(
         return [c.quantity_below(p) if strict else c.quantity_at(p) for c in offers]
 
     knots = sorted({p for c in offers for p in c.knot_prices()})
-    floor = D - _BALANCE_RTOL * max(D, 1.0)
+    floor = D - _BALANCE_RTOL * D
     k = next((i for i, p in enumerate(knots) if sum(levels(p)) >= floor), None)
     if k is None:
         raise MarketInfeasibleError(
@@ -277,7 +278,7 @@ def clear_market(
         elif total_head > 0.0:
             for i, h in enumerate(head):
                 alloc[i] += residual * h / total_head
-        elif residual > _BALANCE_RTOL * max(D, 1.0):
+        elif residual > _BALANCE_RTOL * D:
             # an interpolated price may leave an ulp, which the balance fix
             # below absorbs
             raise MarketInfeasibleError(
@@ -408,27 +409,22 @@ def der_curves(
     draws: int = DEFAULT_DRAWS,
     seed: int = DEFAULT_SEED,
     grid_points: int = DEFAULT_GRID_POINTS,
-) -> tuple[SupplyCurve, SupplyCurve, str]:
-    """Aggregated and direct DER supply curves, and the source that built them.
+) -> tuple[dict[str, Callable[[], SupplyCurve]], str]:
+    """A builder of the aggregated and of the direct DER supply curve, keyed
+    ``agg`` and ``direct``, and the source that builds them.
 
     ``source`` is ``closedform`` (exact affine, admissible dependent-uniform
     linear scenarios only), ``numeric`` (read off one inverse response rho:
     the hull slope of x * rho(x) over ``grid_points`` offers, the hull the
     leader search reads, and its one-prosumer rho_1), or ``auto``, which
     picks the closed form wherever it is admissible and ``numeric`` elsewhere.
+    A numeric curve is built only when its builder is called.
     ``grid_points`` is checked whatever the source.
     """
-    build, source = _der_curve_builders(scenario, source, draws, seed, grid_points)
-    return build["agg"](), build["direct"](), source
-
-
-def _der_curve_builders(scenario, source, draws, seed, grid_points):
-    """A builder of each :func:`der_curves` curve, keyed ``agg`` and ``direct``,
-    and the source they read; a numeric curve is built only when its builder is called."""
     _check_grid(grid_points)
     if source == "auto":
         try:
-            return _der_curve_builders(scenario, "closedform", draws, seed, grid_points)
+            return der_curves(scenario, "closedform", draws, seed, grid_points)
         except AdmissibilityError:  # outside the closed forms' model or band
             source = "numeric"
     if source == "closedform":
@@ -458,8 +454,8 @@ def price_of_aggregation(
     """
     generators = tuple(generators)
     demand = demand_per_prosumer * scenario.n_prosumers
-    agg_curve, dir_curve, curve_source = der_curves(scenario, curve_source, draws, seed,
-                                                    grid_points)
+    build, curve_source = der_curves(scenario, curve_source, draws, seed, grid_points)
+    agg_curve, dir_curve = build["agg"](), build["direct"]()
     noder = clear_market(generators, demand)  # first: the generators' own error wins
     report = PoAgReport(curve_source, clear_market(generators, demand, agg_curve),
                         clear_market(generators, demand, dir_curve), noder)

@@ -236,6 +236,8 @@ def load_scenario(path) -> ScenarioFile:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
     return parse_scenario(data, where=str(path))
 
 

@@ -26,7 +26,9 @@ FILES = ("base.json", "deterministic.json", "iid.json", "tabulated")
 COMMANDS = [
     *[[c, f, *rest] for f in FILES for c, *rest in (
         ["equilibrium"], ["supply-curve", "--mode", "agg"], ["supply-curve", "--mode", "direct"],
-        ["poag", "--curve-source", "numeric"])],
+        ["poag", "--curve-source", "numeric"],
+        *[["dispatch", "--mode", m, "--curve-source", "numeric"]
+          for m in ("agg", "direct", "noder")])],
     ["sweep", "base.json"],
     ["equilibrium", "iid.json", "--mean-field"],
 ]

@@ -773,6 +773,26 @@ def test_forward_response_inverts_inverse_response(case):
         assert got == pytest.approx(x, abs=1e-8)
 
 
+def test_forward_response_prices_cbar_then_halves_the_bracket(monkeypatch):
+    # one rho evaluation at cbar, then 40 halvings of [0, cbar] down to
+    # _FORWARD_TOL * cbar
+    calls = []
+    real = _InverseResponse.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(_InverseResponse, "__call__", counted)
+    sc = make_scenario()
+    assert _InverseResponse(sc, 20_000, 7).forward(3.0) == 5.713174251263913
+    assert len(calls) == 41 and calls[0] == sc.capacity.cbar
+    # a subnormal capacity's tolerance underflows to 0: the halving stops at its cap
+    sc = replace(sc, capacity=dg.dependent_uniform(1e-320, 2e-321))
+    with pytest.raises(dg.SolverError, match="bisection did not reach tolerance"):
+        dg.symmetric_follower_response(sc, 4.0)
+
+
 def _aggregated_curve(sc, grid_points):
     return dg.build_supply_curve_aggregated(_InverseResponse(sc, MIN_DRAWS, 7), grid_points)
 

@@ -36,7 +36,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GRID, DRAWS, SEED = 96, 20_000, 7
 
 # (k, s): prices alone, capacity alone, both, and far from 1
-SCALES = [(3.0, 1.0), (1.0, 0.37), (1.7, 2.5), (1e-3, 1e3), (1.0, 1e-3), (1.0, 1e3)]
+SCALES = [(3.0, 1.0), (1.0, 0.37), (1.7, 2.5), (1e-3, 1e3), (1.0, 1e-3), (1.0, 1e3), (1.0, 1e-10)]
 
 # where a relation holds up to rounding, and where a leader's argmax moves:
 # near x* the profit is flat to rounding over about sqrt(eps) of the offer,

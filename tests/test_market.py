@@ -188,7 +188,7 @@ def test_exact_clearing_on_mixed_merit_order():
         p = out.clearing_price
         below = sum(g.offer.quantity_below(p) for g in gens) + curve.quantity_below(p)
         at = sum(g.offer.quantity_at(p) for g in gens) + curve.quantity_at(p)
-        slack = _BALANCE_RTOL * max(demand, 1.0)
+        slack = _BALANCE_RTOL * demand
         assert below - slack <= demand <= at + slack
         if 0.0 < out.cleared_der < curve.quantity_cap:  # the DER curve is marginal
             assert abs(p - curve.price_at(out.cleared_der)) <= 1e-12
@@ -232,7 +232,7 @@ def test_exact_clearing_on_random_merit_orders():
         out = dg.clear_market(gens, demand, der)
         p = out.clearing_price
         alloc = list(out.cleared_generator) + ([out.cleared_der] if der is not None else [])
-        slack = _BALANCE_RTOL * max(demand, 1.0)
+        slack = _BALANCE_RTOL * demand
         for c, q in zip(offers, alloc):
             assert c.quantity_below(p) - slack <= q <= c.quantity_at(p) + slack
         assert sum(alloc) == pytest.approx(demand, abs=slack)
@@ -417,12 +417,12 @@ def test_aggregated_curve_matches_per_price_solves(kind, n):
 
 
 def test_numeric_curves_share_one_inverse_response(monkeypatch):
-    # rho_1 reads rho_N's E[u'] draws and price bounds, which do not depend
-    # on N: one kernel, which the bounds read too, and one sample each for
-    # it and for the coverage term
+    # der_curves alone builds nothing; rho_1 reads rho_N's E[u'] draws and
+    # price bounds, which do not depend on N: one kernel, which the bounds
+    # read too, and one sample each for it and for the coverage term
     points = TABULATED_SCENARIO["scenario"]["utility"]["marginal_points"]
     sc = replace(make_scenario(kind="iid", n=4), utility=dg.tabulated_utility(points))
-    calls = {"emu": 0, "bounds": 0, "sample": 0}
+    calls = {"emu": 0, "bounds": 0, "sample": 0, "agg": 0, "direct": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -437,8 +437,15 @@ def test_numeric_curves_share_one_inverse_response(monkeypatch):
     for module in (dg.agents, dg.equilibrium):
         monkeypatch.setattr(module, "_MarginalUtilityDraws", emu)
         monkeypatch.setattr(module, "sample", sample)
-    dg.der_curves(sc, "numeric", draws=20_000, seed=7, grid_points=16)
-    assert calls == {"emu": 1, "bounds": 1, "sample": 2}
+    monkeypatch.setattr(dg.market, "build_supply_curve_aggregated",
+                        counted("agg", dg.market.build_supply_curve_aggregated))
+    monkeypatch.setattr(dg.market, "build_supply_curve_direct",
+                        counted("direct", dg.market.build_supply_curve_direct))
+    build, source = dg.der_curves(sc, "numeric", draws=20_000, seed=7, grid_points=16)
+    assert source == "numeric" and sorted(build) == ["agg", "direct"]
+    assert calls == {"emu": 0, "bounds": 0, "sample": 0, "agg": 0, "direct": 0}
+    build["agg"](), build["direct"]()
+    assert calls == {"emu": 1, "bounds": 1, "sample": 2, "agg": 1, "direct": 1}
 
 
 @pytest.mark.parametrize("grid_points", [0, -5])

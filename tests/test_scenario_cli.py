@@ -301,6 +301,14 @@ def test_cli_rejects_a_scenario_file_that_is_not_utf8(command, tmp_path, capsys)
     assert_one_line_rejection(code, capsys, f"{path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != ["figures"]], ids=lambda c: c[0])
+def test_cli_rejects_a_scenario_file_nested_too_deeply(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code = cli.main([command[0], str(path), *command[1:]])
+    assert_one_line_rejection(code, capsys, f"invalid scenario: {path}: JSON nested too deeply")
+
+
 def test_cli_market_commands_where_the_aggregated_curve_starts_at_rho_max(tmp_path, capsys):
     # support [0, 0.01] under cbar 10, on the sigma_max edge of the closed-form band:
     # over 8 offers x * rho(x) is one edge from 0 to 10 ironed at slope rho_max = 6.5,
@@ -512,8 +520,9 @@ def test_cli_direct_dispatch_builds_only_the_direct_curve(monkeypatch, capsys, s
     assert built == {"agg": 0, "direct": 1}
     # it clears the direct curve that der_curves builds
     sf, row = load_scenario(path), read_table(capsys.readouterr().out)[0]
-    _, direct, _ = market.der_curves(sf.scenario, "numeric", sf.solver.draws, 3,
-                                         sf.solver.rho_grid_points)
+    build, _ = market.der_curves(sf.scenario, "numeric", sf.solver.draws, 3,
+                                 sf.solver.rho_grid_points)
+    direct = build["direct"]()
     demand = sf.demand_per_prosumer * sf.scenario.n_prosumers
     assert row["cleared_der"] == cli._fmt(clear_market(sf.generators, demand, direct).cleared_der)
 
