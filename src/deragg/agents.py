@@ -228,11 +228,12 @@ class EquilibriumResult:
     diagnostics: SolverDiagnostics = field(repr=False, default=None)
 
     def __post_init__(self):
+        # each slack in its own unit: capacity for x*, price for rho*
         cbar, lambda_da = self.scenario.capacity.cbar, self.scenario.lambda_da
-        tol = 1e-9 * (1.0 + abs(cbar))
-        if not -tol <= self.x_star <= cbar + tol:
+        tol_x, tol_rho = 1e-9 * cbar, 1e-9 * lambda_da
+        if not -tol_x <= self.x_star <= cbar + tol_x:
             raise ValidationError(f"x_star={self.x_star} outside [0, cbar={cbar}]")
-        if not -tol <= self.rho_star <= lambda_da + tol:
+        if not -tol_rho <= self.rho_star <= lambda_da + tol_rho:
             raise ValidationError(f"rho_star={self.rho_star} outside [0, lambda_da={lambda_da}]")
 
     @property

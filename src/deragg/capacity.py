@@ -26,8 +26,11 @@ IID_UNIFORM = "iid_uniform"
 UNIFORM_KINDS = (DEPENDENT_UNIFORM, IID_UNIFORM)
 _KINDS = (DETERMINISTIC,) + UNIFORM_KINDS
 
-# slack for support-inside-[0, cbar] checks
+# slack for the support-inside-[0, cbar] checks, as a fraction of the support
+# top: the game has no unit of capacity, so the checks scale with it
 _EDGE_TOL = 1e-9
+# the solvers square capacities, which would overflow far above this
+_CBAR_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,8 @@ class CapacityModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown capacity kind {self.kind!r}")
-        if not (math.isfinite(self.cbar) and self.cbar >= 0.0):
-            raise ValidationError(f"cbar must be finite and >= 0, got {self.cbar}")
+        if not 0.0 <= self.cbar <= _CBAR_MAX:
+            raise ValidationError(f"cbar must be in [0, {_CBAR_MAX:g}], got {self.cbar}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValidationError(f"mu and sigma must be finite, got {self.mu}, {self.sigma}")
         if self.kind == DETERMINISTIC:
@@ -60,9 +63,9 @@ class CapacityModel:
                 "uniform kinds need sigma > 0; for a point mass use deterministic(cbar=mu)"
             )
         lo, hi = self.support
-        if lo < -_EDGE_TOL:
+        if lo < -_EDGE_TOL * hi:
             raise ValidationError(f"support low end {lo:.6g} < 0 (mu - sqrt(3)*sigma must be >= 0)")
-        if hi > self.cbar + _EDGE_TOL:
+        if hi > self.cbar + _EDGE_TOL * hi:
             raise ValidationError(
                 f"support high end {hi:.6g} exceeds cbar={self.cbar:.6g}"
             )
@@ -136,6 +139,12 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed must be >= 0 and < 2**128, got {seed}")
     return seed
+
+
+def check_offer(model: CapacityModel, x: float) -> None:
+    """Raise unless ``x`` is an offer in [0, cbar], up to a slack of 1e-12 * cbar."""
+    if not 0.0 <= x <= model.cbar * (1.0 + 1e-12):
+        raise ValidationError(f"offer {x} outside [0, cbar={model.cbar}]")
 
 
 def sample(model: CapacityModel, n: int, rng_seed: int, draws: int = 1) -> np.ndarray:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import import_module
 
@@ -56,7 +56,7 @@ from .agents import (
     _MarginalUtilityDraws,
     expected_marginal_utility,
 )
-from .capacity import IID_UNIFORM, cdf_marginal, expected_shortfall, sample
+from .capacity import IID_UNIFORM, cdf_marginal, check_offer, expected_shortfall, sample
 from .closedform import closed_form_applies, closed_form_params
 from .errors import AdmissibilityError, SolverError, ValidationError
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
@@ -198,8 +198,7 @@ def partial_coverage_term(scenario: GameScenario, x: float) -> float:
     Y_(m+2).  Each mean is Gauss-Legendre between the integers and psi_m's kinks.
     """
     model, n = scenario.capacity, scenario.n_prosumers
-    if not 0.0 <= x <= model.cbar + 1e-12:
-        raise ValidationError(f"offer {x} outside [0, cbar={model.cbar}]")
+    check_offer(model, x)
     if model.kind == IID_UNIFORM and n < 2:
         raise ValidationError("coverage correction needs at least two prosumers")
     lo, hi = model.support
@@ -300,16 +299,6 @@ class _InverseResponse:
     def bounds(self) -> tuple[float, float]:
         """(rho_min, rho_max): :func:`offer_price_bounds` read off :attr:`emu`."""
         return offer_price_bounds(self.scenario, draws=self.draws, seed=self.seed, _emu=self.emu)
-
-    @property  # not cached: caching self would make a cycle that holds the draws until gc runs
-    def one_prosumer(self) -> _InverseResponse:
-        """rho_1, the finite-N one-prosumer game on the same draws: this response at N = 1,
-        else one that shares its E[u'] kernel and price bounds, neither of which depends on N."""
-        if self.scenario.n_prosumers == 1 and type(self) is _InverseResponse:
-            return self
-        one = _InverseResponse(replace(self.scenario, n_prosumers=1), self.draws, self.seed)
-        one.bounds, one.emu = self.bounds, self.emu
-        return one
 
     @cached_property
     def caps(self) -> _CoverageDraws:

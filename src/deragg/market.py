@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .agents import GameScenario
-from .capacity import DEPENDENT_UNIFORM
+from .capacity import DEPENDENT_UNIFORM, cdf_marginal
 from .closedform import (
     UniformLinearParams,
     closed_form_params,
@@ -238,7 +238,8 @@ def clear_market(
         raise ValidationError(f"demand must be finite and nonnegative, got {D}")
     offers = tuple(g.offer for g in gens) + (() if der_supply is None else (der_supply,))
     total = sum(c.quantity_cap for c in offers)
-    if total < D * (1.0 - _BALANCE_RTOL):
+    floor = D - _BALANCE_RTOL * D
+    if total < floor:
         raise MarketInfeasibleError(
             f"total capability {total:.6g} cannot meet demand {D:.6g}", shortfall=D - total
         )
@@ -251,12 +252,8 @@ def clear_market(
         return [c.quantity_below(p) if strict else c.quantity_at(p) for c in offers]
 
     knots = sorted({p for c in offers for p in c.knot_prices()})
-    floor = D - _BALANCE_RTOL * D
-    k = next((i for i, p in enumerate(knots) if sum(levels(p)) >= floor), None)
-    if k is None:
-        raise MarketInfeasibleError(
-            "supply exhausted below demand", shortfall=D - sum(levels(knots[-1]))
-        )
+    # at the top knot every offer is at its cap, where supply is ``total``
+    k = next(i for i, p in enumerate(knots) if sum(levels(p)) >= floor)
     price = knots[k]
     below = sum(levels(price, strict=True))
     if k > 0 and below > D:  # crossed on (knots[k-1], knots[k]), linear in price
@@ -352,19 +349,18 @@ def build_supply_curve_direct(inverse: _InverseResponse) -> SupplyCurve:
 
     A prosumer bidding directly plays no cost-sharing game, so its offer
     curve is the inverse response of the one-prosumer game,
-    rho_1(y) = E[u'(d0 + C - y)] + lambda_rt * F(y), read off ``inverse``
-    (:attr:`~deragg.equilibrium._InverseResponse.one_prosumer`) at
-    ``_DIRECT_OFFERS`` offers on [0, cbar] plus the support ends (the
-    kinks of F, which make the curve exact for linear utility).  Identical
-    prosumers collapse into one curve scaled by N.  Points inside a run of
-    equal prices are dropped; the curve takes the maximal offer of the run
-    at indifference.
+    rho_1(y) = E[u'(d0 + C - y)] + lambda_rt * F(y), with E[u'] read off
+    the draws of ``inverse`` at its offers for ``_DIRECT_OFFERS`` points on
+    [0, cbar] plus the support ends (the kinks of F, which make the curve
+    exact for linear utility).  Identical prosumers collapse into one curve
+    scaled by N.  Points inside a run of equal prices are dropped; the
+    curve takes the maximal offer of the run at indifference.
     """
-    rho_1 = inverse.one_prosumer
-    n = inverse.scenario.n_prosumers
-    ys = rho_1.offers(_DIRECT_OFFERS)
+    sc, n = inverse.scenario, inverse.scenario.n_prosumers
+    ys = inverse.offers(_DIRECT_OFFERS)
+    rho_1 = inverse.marginal_utility(np.asarray(ys)) + sc.lambda_rt * cdf_marginal(sc.capacity, ys)
     points = []
-    for y, p in zip(ys, rho_1(np.asarray(ys)).tolist()):
+    for y, p in zip(ys, rho_1.tolist()):
         if len(points) >= 2 and points[-2][1] == points[-1][1] == p:
             points[-1] = (n * y, p)  # stretch the flat run to its largest offer
         else:

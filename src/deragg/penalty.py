@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .capacity import sample
+from .capacity import check_offer, sample
 from .errors import ValidationError
 
 #: fewest draws :func:`expected_penalty` accepts; no solver reads that expectation
@@ -44,8 +44,8 @@ def penalty_draws(scenario, x_i: float, x_others: float, draws: int, seed: int) 
     Exposed so callers can form common-random-number differences and
     standard errors; :func:`expected_penalty` is its mean.
     """
-    _check_offer(scenario, x_i)
-    _check_offer(scenario, x_others)
+    check_offer(scenario.capacity, x_i)
+    check_offer(scenario.capacity, x_others)
     n = scenario.n_prosumers
     offers = np.full(n, float(x_others))
     offers[0] = float(x_i)
@@ -70,9 +70,3 @@ def expected_penalty(
         raise ValidationError(f"draws={draws} is below the {MIN_DRAWS} floor")
     return float(penalty_draws(scenario, x_i, x_others, draws, seed).mean())
 
-
-def _check_offer(scenario, x: float) -> None:
-    if not 0.0 <= x <= scenario.capacity.cbar + 1e-12:
-        raise ValidationError(
-            f"offer {x} outside [0, cbar={scenario.capacity.cbar}]"
-        )

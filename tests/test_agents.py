@@ -168,3 +168,24 @@ def test_equilibrium_result_invariants():
         dg.EquilibriumResult(sc, 5.0, 1.0, diag)
     res = dg.EquilibriumResult(sc, 2.0, 3.0, diag)
     assert (res.aggregate_x, res.leader_profit) == (6.0, (4.0 - 2.0) * 2 * 3.0)
+
+
+def test_equilibrium_result_checks_rho_star_in_price_units():
+    # a slack in capacity units let a large cbar admit rho* far above lambda_da
+    diag = dg.SolverDiagnostics(8, 0, True, False)
+    sc = dg.GameScenario(2, 5e11, dg.dependent_uniform(1e11, 3.3e10), dg.linear_utility(2.5),
+                         4.0, 4.0)
+    with pytest.raises(dg.ValidationError, match="rho_star=9"):
+        dg.EquilibriumResult(sc, 9.0, 1e11, diag)
+    assert dg.EquilibriumResult(sc, 4.0, 1e11, diag).rho_star == 4.0
+
+
+def test_equilibrium_result_checks_x_star_in_capacity_units():
+    # an absolute slack of 1e-9 let a tiny cbar admit x* at 1.5 * cbar
+    diag = dg.SolverDiagnostics(8, 0, True, False)
+    sc = dg.GameScenario(2, 5e-9, dg.dependent_uniform(1e-9, 3.3e-10), dg.linear_utility(2.5),
+                         4.0, 4.0)
+    cbar = sc.capacity.cbar
+    with pytest.raises(dg.ValidationError, match="x_star="):
+        dg.EquilibriumResult(sc, 3.0, 1.5 * cbar, diag)
+    assert dg.EquilibriumResult(sc, 3.0, cbar, diag).x_star == cbar

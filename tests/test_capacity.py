@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import deragg as dg
-from deragg.capacity import DEPENDENT_UNIFORM, IID_UNIFORM
+from deragg.capacity import DEPENDENT_UNIFORM, IID_UNIFORM, check_offer
 
 
 def uniform_cdf_by_quadrature(model, c, n=200_001):
@@ -34,6 +36,36 @@ def test_validation_support_bounds():
         dg.iid_uniform(10.0, 3.3, cbar=12.0)  # support exceeds cbar
     with pytest.raises(dg.ValidationError):
         dg.CapacityModel("gaussian", 1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1.0, 1e8, 1e10])
+@pytest.mark.parametrize("build", [dg.dependent_uniform, dg.iid_uniform])
+def test_support_checks_have_no_unit_of_capacity(build, s):
+    # supports that touch 0 or cbar up to rounding are in at every scale, and
+    # a cbar 1% below the support top is out at every scale
+    mu = 7.3 * s
+    touching = build(mu, mu * (1.0 + 2e-12) / dg.SQRT3)
+    assert -1e-11 * mu < touching.support[0] < 0.0
+    assert build(mu, 3.3 * s, cbar=s * (7.3 + dg.SQRT3 * 3.3)).mu == mu
+    with pytest.raises(dg.ValidationError, match="exceeds cbar"):
+        build(mu, 3.3 * s, cbar=0.99 * (mu + dg.SQRT3 * 3.3 * s))
+
+
+@pytest.mark.parametrize("cbar", [1e-10, 1.0, 1e10])
+def test_offer_check_has_no_unit_of_capacity(cbar):
+    model = dg.deterministic(cbar)
+    check_offer(model, 0.0)
+    check_offer(model, cbar * (1.0 + 1e-13))
+    for x in (-1e-20, cbar * (1.0 + 1e-9), math.nan):
+        with pytest.raises(dg.ValidationError, match="outside \\[0, cbar="):
+            check_offer(model, x)
+
+
+def test_cbar_above_the_overflow_bound_is_rejected():
+    # the solvers square cbar: at 1e154 that overflows a float
+    with pytest.raises(dg.ValidationError, match=r"cbar must be in \[0, 1e\+150\]"):
+        dg.dependent_uniform(1e154, 3.3e153)
+    assert dg.deterministic(1e150).cbar == 1e150
 
 
 def test_default_cbar_is_support_top():

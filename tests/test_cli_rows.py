@@ -31,6 +31,10 @@ COMMANDS = [
           for m in ("agg", "direct", "noder")])],
     ["sweep", "base.json"],
     ["equilibrium", "iid.json", "--mean-field"],
+    # the closed-form curves clear through the same merit order as the numeric ones
+    ["poag", "base.json", "--curve-source", "closedform"],
+    *[["dispatch", "base.json", "--mode", m, "--curve-source", "closedform"]
+      for m in ("agg", "direct")],
 ]
 
 

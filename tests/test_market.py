@@ -417,9 +417,9 @@ def test_aggregated_curve_matches_per_price_solves(kind, n):
 
 
 def test_numeric_curves_share_one_inverse_response(monkeypatch):
-    # der_curves alone builds nothing; rho_1 reads rho_N's E[u'] draws and
-    # price bounds, which do not depend on N: one kernel, which the bounds
-    # read too, and one sample each for it and for the coverage term
+    # der_curves alone builds nothing; rho_1 reads rho_N's E[u'] draws, which
+    # do not depend on N: one kernel, which the aggregated curve's bounds read
+    # too, and one sample each for it and for the coverage term
     points = TABULATED_SCENARIO["scenario"]["utility"]["marginal_points"]
     sc = replace(make_scenario(kind="iid", n=4), utility=dg.tabulated_utility(points))
     calls = {"emu": 0, "bounds": 0, "sample": 0, "agg": 0, "direct": 0}

@@ -15,7 +15,7 @@ import deragg.market as market
 from deragg.agents import GameScenario, linear_utility, tabulated_utility
 from deragg.capacity import dependent_uniform, iid_uniform
 from deragg.equilibrium import _InverseResponse, meanfield_stackelberg
-from deragg.errors import ValidationError
+from deragg.errors import SolverError, ValidationError
 from deragg.market import GeneratorSpec, build_supply_curve_aggregated, clear_market
 from deragg.scenario import SolverSettings, apply_sweep_value, load_scenario, parse_scenario
 from workloads import TABULATED_SCENARIO
@@ -626,6 +626,37 @@ def test_cli_unwritable_out_exits_2_in_one_line(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"cannot write {out}: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_unwritable_out_in_process_exits_2_in_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "eq.csv"
+    code = cli.main(["equilibrium", str(SCENARIOS / "base.json"), "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_cli_solver_failure_exits_3_with_its_diagnostics(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("bisection did not reach tolerance", width=0.5)
+
+    monkeypatch.setattr(cli, "stackelberg_solve", fail)
+    assert cli.main(["equilibrium", str(SCENARIOS / "base.json")]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "solver failure: bisection did not reach tolerance {'width': 0.5}\n"
+
+
+def test_cli_rejects_a_capacity_scale_the_solvers_would_overflow(tmp_path, capsys):
+    # base.json with every capacity quantity scaled by 1e154: cbar squared overflows
+    data = json.loads((SCENARIOS / "base.json").read_text(encoding="utf-8"))
+    sc = data["scenario"]
+    sc["d0"] *= 1e154
+    data["demand_per_prosumer"] *= 1e154
+    for key in ("mu", "sigma", "cbar"):
+        if key in sc["capacity"]:
+            sc["capacity"][key] *= 1e154
+    code = cli.main(["validate", write_scenario(tmp_path, data)])
+    assert_one_line_rejection(code, capsys, "cbar must be in [0, 1e+150]")
 
 
 def test_importing_the_package_leaves_the_cli_unbuilt():
