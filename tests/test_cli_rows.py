@@ -1,8 +1,9 @@
-"""The CLI's CSV output, pinned row by row against ``data/cli_rows.json``.
+"""The CLI's CSV output, pinned row by row against ``data/cli_rows.json``,
+and the figure CSV files against ``data/figure_rows.json``.
 
 Metadata lines, headers, strings and booleans must match exactly; numbers
 must agree to ``rel_tol=1e-9`` (a flip of the last of the 10 printed
-digits).  Regenerate the file only for a change that is meant to move the
+digits).  Regenerate the files only for a change that is meant to move the
 numbers:
 
     PYTHONPATH=src:bench python tests/test_cli_rows.py
@@ -22,6 +23,7 @@ from workloads import TABULATED_SCENARIO
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "cli_rows.json"
+PINNED_FIGURES = ROOT / "tests" / "data" / "figure_rows.json"
 FILES = ("base.json", "deterministic.json", "iid.json", "tabulated")
 COMMANDS = [
     *[[c, f, *rest] for f in FILES for c, *rest in (
@@ -48,6 +50,12 @@ def run(argv, tabulated_path):
     return out.getvalue()
 
 
+def figure_files(name, out_dir):
+    """{filename: text} of the CSV files ``figures <name>`` writes at ``--seed 3``."""
+    assert cli.main(["figures", name, "--out", str(out_dir), "--seed", "3"]) == cli.EXIT_OK
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(Path(out_dir).iterdir())}
+
+
 def same_cell(got, want):
     if got == want:
         return True
@@ -64,10 +72,8 @@ def tabulated_path(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_cli_rows_match_the_pinned_output(argv, tabulated_path):
-    want = json.loads(PINNED.read_text(encoding="utf-8"))[" ".join(argv)].splitlines()
-    got = run(argv, tabulated_path).splitlines()
+def assert_same_table(got, want):
+    got, want = got.splitlines(), want.splitlines()
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if w.startswith("#"):
@@ -78,6 +84,21 @@ def test_cli_rows_match_the_pinned_output(argv, tabulated_path):
         assert all(same_cell(a, b) for a, b in zip(cells, pinned)), (g, w)
 
 
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_rows_match_the_pinned_output(argv, tabulated_path):
+    want = json.loads(PINNED.read_text(encoding="utf-8"))[" ".join(argv)]
+    assert_same_table(run(argv, tabulated_path), want)
+
+
+@pytest.mark.parametrize("name", cli.FIGURE_NAMES)
+def test_figure_rows_match_the_pinned_output(name, tmp_path):
+    want = json.loads(PINNED_FIGURES.read_text(encoding="utf-8"))[name]
+    got = figure_files(name, tmp_path)
+    assert sorted(got) == sorted(want)
+    for filename, text in got.items():
+        assert_same_table(text, want[filename])
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -85,6 +106,9 @@ if __name__ == "__main__":
         tab = Path(tmp) / "tabulated.json"
         tab.write_text(json.dumps(TABULATED_SCENARIO), encoding="utf-8")
         pinned = {" ".join(argv): run(argv, str(tab)) for argv in COMMANDS}
+        figures = {name: figure_files(name, Path(tmp) / name) for name in cli.FIGURE_NAMES}
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(pinned)} outputs to {PINNED}", file=sys.stderr)
+    PINNED_FIGURES.write_text(json.dumps(figures, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(pinned)} outputs to {PINNED} and {len(figures)} figures to "
+          f"{PINNED_FIGURES}", file=sys.stderr)
