@@ -22,7 +22,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .capacity import SQRT3
 from .closedform import (
     UniformLinearParams,
     closed_form_equilibrium,
@@ -45,7 +44,7 @@ from .market import (
     price_of_aggregation,
 )
 from .penalty import penalty_shares
-from .scenario import ScenarioFile, SolverSettings, apply_sweep_value, load_scenario
+from .scenario import SCHEMA_VERSION, ScenarioFile, SolverSettings, apply_sweep_value, load_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,11 +52,7 @@ EXIT_SOLVER = 3
 EXIT_ADMISSIBILITY = 4
 
 # reference parameter set behind the figure commands
-FIG_GAMMA = 2.5
-FIG_MU = 10.0
-FIG_SIGMA = 3.3
-FIG_LAMBDA_DA = 4.0
-FIG_LAMBDA_RT = 4.0
+FIG_PARAMS = UniformLinearParams(gamma=2.5, mu=10.0, sigma=3.3, lambda_da=4.0, lambda_rt=4.0)
 FIG_KAPPA = 3.25
 FIG_DEMAND_PER_PROSUMER = 10.0
 FIG_SIGMA_SWEEP = (3.30, 5.77, 26)
@@ -120,7 +115,7 @@ def _load(args) -> ScenarioFile:
 def _write(args, sf: ScenarioFile, rows: list[dict], **meta) -> None:
     """The rows as CSV to ``--out``, after the run's metadata and ``meta``."""
     s = sf.solver
-    head = {"schema_version": sf.schema_version, "seed": s.seed, "draws": s.draws,
+    head = {"schema_version": SCHEMA_VERSION, "seed": s.seed, "draws": s.draws,
             "build": f"deragg-{__version__}", **meta}
     _emit(_render_csv(head, rows), args.out)
 
@@ -309,27 +304,24 @@ def cmd_sweep(args) -> int:
 
 def _figure_tables(name: str):
     """(filename, rows) tables for one named reference figure."""
-    sig_lo, sig_hi, sig_n = FIG_SIGMA_SWEEP
-    sigmas = np.linspace(sig_lo, sig_hi, sig_n)
+    sigmas = np.linspace(*FIG_SIGMA_SWEEP)
     if name == "fig3":
         rows_curve, rows_eq = [], []
         for sigma in (3.3, 3.9, 4.5, 5.1, 5.7):
-            p = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
-            rho_star, curve = closed_form_equilibrium(p)
-            for rho in np.linspace(FIG_GAMMA, FIG_GAMMA + FIG_LAMBDA_RT, 51):
+            rho_star, curve = closed_form_equilibrium(replace(FIG_PARAMS, sigma=sigma))
+            for rho in np.linspace(FIG_PARAMS.gamma, FIG_PARAMS.gamma + FIG_PARAMS.lambda_rt, 51):
                 rows_curve.append({"sigma": sigma, "rho": rho, "x_star": curve(rho)})
             rows_eq.append({"sigma": sigma, "rho_star": rho_star, "x_star": curve(rho_star)})
         return [("fig3_offer_curves.csv", rows_curve), ("fig3_equilibrium.csv", rows_eq)]
     if name == "fig4":
-        p = UniformLinearParams(FIG_GAMMA, FIG_MU, FIG_SIGMA, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
-        hi = FIG_MU + SQRT3 * FIG_SIGMA
-        rows_agg = [{"quantity": q, "price": inverse_supply_aggregated(p, q)}
+        hi = FIG_PARAMS.support[1]
+        rows_agg = [{"quantity": q, "price": inverse_supply_aggregated(FIG_PARAMS, q)}
                     for q in np.linspace(0.0, hi / 2.0, 41)]
-        rows_dir = [{"quantity": q, "price": inverse_supply_direct(p, q)}
+        rows_dir = [{"quantity": q, "price": inverse_supply_direct(FIG_PARAMS, q)}
                     for q in np.linspace(0.0, hi, 41)]
         rows_sigma = []
         for sigma in sigmas:
-            ps = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
+            ps = replace(FIG_PARAMS, sigma=sigma)
             rows_sigma.append({
                 "sigma": sigma,
                 "price_aggregated": inverse_supply_aggregated(ps, FIG4_FIXED_QUANTITY),
@@ -343,8 +335,8 @@ def _figure_tables(name: str):
     if name in ("fig5", "fig6-left"):
         rows_cost, rows_clear, rows_poag = [], [], []
         for sigma in sigmas:
-            p = UniformLinearParams(FIG_GAMMA, FIG_MU, sigma, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
-            c = procurement_costs(p, FIG_KAPPA, FIG_DEMAND_PER_PROSUMER)
+            c = procurement_costs(replace(FIG_PARAMS, sigma=sigma), FIG_KAPPA,
+                                  FIG_DEMAND_PER_PROSUMER)
             rows_cost.append({"sigma": sigma, "cost_noder": c.cost_noder,
                               "cost_aggregated": c.cost_aggregated,
                               "cost_direct": c.cost_direct})
@@ -359,8 +351,8 @@ def _figure_tables(name: str):
         mu_lo, mu_hi, mu_n = FIG_MU_SWEEP
         rows = []
         for mu in np.linspace(mu_lo, mu_hi, mu_n):
-            p = UniformLinearParams(FIG_GAMMA, mu, FIG_SIGMA, FIG_LAMBDA_DA, FIG_LAMBDA_RT)
-            poag = procurement_costs(p, FIG_KAPPA, FIG_DEMAND_PER_PROSUMER).poag
+            poag = procurement_costs(replace(FIG_PARAMS, mu=mu), FIG_KAPPA,
+                                     FIG_DEMAND_PER_PROSUMER).poag
             rows.append({"mu": mu, "integration_pct": 100.0 * mu / mu_hi, "poag": poag})
         return [("fig6_right_poag_vs_integration.csv", rows)]
     raise ValidationError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
@@ -371,7 +363,7 @@ def cmd_figures(args) -> int:
     seed = _settings(args, SolverSettings()).seed
     os.makedirs(args.out, exist_ok=True)
     # every figure is a closed form: no draw count applies
-    meta = {"schema_version": "1", "seed": seed, "build": f"deragg-{__version__}"}
+    meta = {"schema_version": SCHEMA_VERSION, "seed": seed, "build": f"deragg-{__version__}"}
     written = []
     for filename, rows in _figure_tables(args.name):
         path = os.path.join(args.out, filename)

@@ -11,8 +11,8 @@ With support ``[mu - s3, mu + s3]`` where ``s3 = sqrt(3)*sigma``:
 
     x*(rho)   = mu - s3 + (2/lambda_rt) * (rho - gamma) * s3      (rho >= gamma)
     rho*      = (lambda_da + gamma)/2 - lambda_rt*(mu - s3)/(4*s3)
-    p_agg(X)  = lambda_rt * (2X/N - mu + s3)/(2*s3) + gamma
     p_dir(x)  = lambda_rt * (x - mu + s3)/(2*s3) + gamma
+    p_agg(X)  = p_dir(2X/N): at each price the aggregator offers half the direct quantity
 """
 
 from __future__ import annotations
@@ -130,21 +130,10 @@ def closed_form_equilibrium(p: UniformLinearParams) -> tuple[float, AffineOfferC
 
 
 def inverse_supply_aggregated(p: UniformLinearParams, x_total):
-    """Minimum wholesale price at which the aggregator sells ``x_total``.
-
-    Affine and increasing; quantities outside the effective range
-    [0, N*(mu + sqrt(3)*sigma)/2] extrapolate with a warning.
-    """
-    s3 = p.half_width
-    xt = np.asarray(x_total, dtype=float)
-    cap = p.n_prosumers * (p.mu + s3) / 2.0
-    if np.any(xt < -1e-12) or np.any(xt > cap + 1e-12):
-        warnings.warn(
-            f"aggregated quantity outside effective range [0, {cap:.6g}]; extrapolating",
-            stacklevel=2,
-        )
-    out = p.lambda_rt * (2.0 * xt / p.n_prosumers - p.mu + s3) / (2.0 * s3) + p.gamma
-    return out if out.ndim else float(out)
+    """Minimum wholesale price at which the aggregator, offering half the direct
+    quantity at each price, sells ``x_total``: p_dir(2X/N), which extrapolates with
+    its warning outside the effective range [0, N*(mu + sqrt(3)*sigma)/2]."""
+    return inverse_supply_direct(p, 2.0 * np.asarray(x_total, dtype=float) / p.n_prosumers)
 
 
 def inverse_supply_direct(p: UniformLinearParams, x):

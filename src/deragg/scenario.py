@@ -23,7 +23,7 @@ from .capacity import (
     deterministic,
     iid_uniform,
 )
-from .equilibrium import DEFAULT_GRID_POINTS
+from .equilibrium import DEFAULT_GRID_POINTS, _check_grid
 from .errors import ValidationError, as_number, as_pairs
 from .market import GeneratorSpec
 from .penalty import DEFAULT_DRAWS, DEFAULT_SEED
@@ -51,8 +51,7 @@ class SolverSettings:
     def __post_init__(self):
         if self.draws < 1:
             raise ValidationError(f"draws must be >= 1, got {self.draws}")
-        if self.rho_grid_points < 4:
-            raise ValidationError(f"rho_grid_points must be >= 4, got {self.rho_grid_points}")
+        _check_grid(self.rho_grid_points)
         check_seed(self.seed)
 
 
@@ -76,7 +75,6 @@ class SweepSettings:
 class ScenarioFile:
     """Full contents of one scenario file, and the mapping it was parsed from."""
 
-    schema_version: str
     scenario: GameScenario
     generators: tuple[GeneratorSpec, ...]
     demand_per_prosumer: float
@@ -204,7 +202,6 @@ def parse_scenario(data: dict, where: str = "scenario file") -> ScenarioFile:
             steps=_integer(f["steps"], "sweep.steps"),
         )
     return ScenarioFile(
-        schema_version=SCHEMA_VERSION,
         scenario=game,
         generators=generators,
         demand_per_prosumer=as_number(top["demand_per_prosumer"], "demand_per_prosumer"),
