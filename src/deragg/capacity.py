@@ -29,8 +29,9 @@ _KINDS = (DETERMINISTIC,) + UNIFORM_KINDS
 # slack for the support-inside-[0, cbar] checks, as a fraction of the support
 # top: the game has no unit of capacity, so the checks scale with it
 _EDGE_TOL = 1e-9
-# the solvers square capacities, which would overflow far above this
-_CBAR_MAX = 1e150
+# the solvers square capacities, which would overflow far above the top
+# bound, and divide by those squares, which underflow far below the bottom one
+_CBAR_MIN, _CBAR_MAX = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ class CapacityModel:
             raise ValidationError(f"unknown capacity kind {self.kind!r}")
         if not 0.0 <= self.cbar <= _CBAR_MAX:
             raise ValidationError(f"cbar must be in [0, {_CBAR_MAX:g}], got {self.cbar}")
+        if 0.0 < self.cbar < _CBAR_MIN:
+            raise ValidationError(f"cbar must be 0 or at least {_CBAR_MIN:g}, got {self.cbar}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValidationError(f"mu and sigma must be finite, got {self.mu}, {self.sigma}")
         if self.kind == DETERMINISTIC:

@@ -68,6 +68,14 @@ def test_cbar_above_the_overflow_bound_is_rejected():
     assert dg.deterministic(1e150).cbar == 1e150
 
 
+def test_cbar_below_the_underflow_bound_is_rejected():
+    # the coverage kernel divides by squared capacities: at 1e-170 they are subnormal
+    with pytest.raises(dg.ValidationError, match=r"cbar must be 0 or at least 1e-150"):
+        dg.dependent_uniform(1e-170, 3.3e-171)
+    assert dg.deterministic(1e-150).cbar == 1e-150
+    assert dg.deterministic(0.0).cbar == 0.0
+
+
 def test_default_cbar_is_support_top():
     m = dg.dependent_uniform(10.0, 3.3)
     assert m.cbar == pytest.approx(10.0 + dg.SQRT3 * 3.3, abs=0)

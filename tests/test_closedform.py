@@ -23,6 +23,24 @@ def test_band_violations_raise_with_named_bound():
         params(gamma=5.0)
 
 
+@pytest.mark.parametrize("change,needle", [
+    ({"mu": 0.0}, "gamma, mu and lambda_rt must be positive"),
+    ({"mu": -1.0}, "gamma, mu and lambda_rt must be positive"),
+    ({"n": 0}, "n_prosumers must be >= 1"),
+])
+def test_params_reject_a_nonpositive_mean_or_prosumer_count(change, needle):
+    with pytest.raises(dg.AdmissibilityError, match=needle):
+        params(**change)
+
+
+def test_equilibrium_warns_where_rho_star_passes_the_offer_cap():
+    # rho* = (20 + 1)/2 = 10.5 at the band maximum, above gamma + lambda_rt = 2
+    p = params(gamma=1.0, lambda_da=20.0, lambda_rt=1.0, sigma=10.0 / dg.SQRT3)
+    with pytest.warns(UserWarning, match="exceeds the offer-cap price"):
+        rho_star, _ = dg.closed_form_equilibrium(p)
+    assert rho_star == pytest.approx(10.5, rel=1e-12)
+
+
 def test_equilibrium_fig3_values():
     rho_star, curve = dg.closed_form_equilibrium(params())
     assert rho_star == pytest.approx(2.5005, abs=1e-3)

@@ -652,6 +652,11 @@ def test_meanfield_requires_iid():
         dg.meanfield_solve(make_scenario(), rho=3.0)
 
 
+def test_meanfield_solution_rejects_beta_above_one():
+    with pytest.raises(dg.ValidationError, match=r"beta=1.5 outside \[0, 1\]"):
+        dg.MeanFieldSolution(1.5, 1.0)
+
+
 def test_meanfield_interior_against_scan_oracle():
     # scan x, compute beta from the closed-form partial expectation, and
     # locate the sign change of beta*F(x) - (rho - gamma)/lambda_rt
@@ -787,8 +792,8 @@ def test_forward_response_prices_cbar_then_halves_the_bracket(monkeypatch):
     sc = make_scenario()
     assert _InverseResponse(sc, 20_000, 7).forward(3.0) == 5.713174251263913
     assert len(calls) == 41 and calls[0] == sc.capacity.cbar
-    # a subnormal capacity's tolerance underflows to 0: the halving stops at its cap
-    sc = replace(sc, capacity=dg.dependent_uniform(1e-320, 2e-321))
+    # capped at 5 halvings, the bisection stops short of its tolerance
+    monkeypatch.setattr(dg.equilibrium, "MAX_BISECT_ITER", 5)
     with pytest.raises(dg.SolverError, match="bisection did not reach tolerance"):
         dg.symmetric_follower_response(sc, 4.0)
 

@@ -97,6 +97,26 @@ def test_tabulated_curve_interpolation_and_integral():
         dg.SupplyCurve(((0.0, 2.0), (1.0, 1.0)))
 
 
+def test_supply_curve_rejects_one_breakpoint_and_a_negative_quantity():
+    with pytest.raises(dg.ValidationError, match="at least two breakpoints"):
+        dg.SupplyCurve(((0.0, 1.0),))
+    curve = dg.SupplyCurve(((0.0, 1.0), (2.0, 3.0)))
+    with pytest.raises(dg.ValidationError, match="quantity must be nonnegative"):
+        curve.cost_integral(-1.0)
+
+
+def test_supply_curve_holds_the_price_flat_outside_its_quantities():
+    curve = dg.SupplyCurve(((0.0, 1.0), (2.0, 3.0)))
+    for q, price in ((-1.0, 1.0), (5.0, 3.0)):
+        with pytest.warns(UserWarning, match=r"outside \[0, 2\]; price held flat"):
+            assert curve.price_at(q) == price
+
+
+def test_der_curves_reject_an_unknown_source():
+    with pytest.raises(dg.ValidationError, match="unknown curve_source 'bogus'"):
+        dg.der_curves(make_scenario(), "bogus")
+
+
 def test_clear_noder_cost_is_kappa_times_demand():
     out = dg.clear_market((dg.GeneratorSpec(kappa=3.25),), 10.0)
     assert out.clearing_price == 3.25

@@ -309,6 +309,48 @@ def test_cli_rejects_a_scenario_file_nested_too_deeply(command, tmp_path, capsys
     assert_one_line_rejection(code, capsys, f"invalid scenario: {path}: JSON nested too deeply")
 
 
+def edited(*edit):
+    """The command ``validate`` on BASE with one ``(path, value)`` edit (see ``deep``)."""
+    return lambda tmp_path: ["validate", write_scenario(tmp_path, deep(BASE, edit))]
+
+
+UTILITY = ("scenario", "utility")
+# case -> (argv in a fresh directory, the one line the CLI prints)
+REJECTED_FILES = {
+    "grid-below-4": (edited(("solver", "rho_grid_points"), 2), "grid_points must be at least 4"),
+    "sweep-steps-below-2": (
+        edited(("sweep",), {"parameter": "sigma", "from": 3.3, "to": 5.0, "steps": 1}),
+        "sweep needs at least 2 steps"),
+    "negative-demand": (edited(("demand_per_prosumer",), -1.0),
+                        "demand_per_prosumer must be nonnegative"),
+    "solver-not-an-object": (edited(("solver",), [7]), "solver: expected an object"),
+    "unknown-capacity-kind": (edited(("scenario", "capacity", "kind"), "beta"),
+                              "capacity: unknown kind 'beta'"),
+    "unknown-utility-kind": (edited(UTILITY + ("kind",), "log"), "utility: unknown kind 'log'"),
+    "no-generators": (edited(("generators",), []), "generators: expected a nonempty list"),
+    "tabulated-one-point": (
+        edited(UTILITY, {"kind": "tabulated", "marginal_points": [[0.0, 3.0]]}),
+        "tabulated utility needs at least two (z, marginal) points"),
+    "tabulated-z-not-increasing": (
+        edited(UTILITY, {"kind": "tabulated", "marginal_points": [[5.0, 3.0], [5.0, 2.0]]}),
+        "tabulated z grid must be strictly increasing"),
+    "segment-of-width-0": (edited(("generators", 0, "segments"), [[3.25, 0.0]]),
+                           "segments need positive widths"),
+    "path-is-a-directory": (lambda tmp_path: ["validate", str(tmp_path)],
+                            "cannot read"),
+    "sweep-without-a-sweep-block": (
+        lambda tmp_path: ["sweep", str(SCENARIOS / "deterministic.json")],
+        f"{SCENARIOS / 'deterministic.json'} has no sweep block"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_FILES)
+def test_cli_rejects_an_invalid_scenario_file_in_one_line(case, tmp_path, capsys):
+    argv, message = REJECTED_FILES[case]
+    code = cli.main(argv(tmp_path))
+    assert_one_line_rejection(code, capsys, f"invalid scenario: {message}")
+
+
 def test_cli_market_commands_where_the_aggregated_curve_starts_at_rho_max(tmp_path, capsys):
     # support [0, 0.01] under cbar 10, on the sigma_max edge of the closed-form band:
     # over 8 offers x * rho(x) is one edge from 0 to 10 ironed at slope rho_max = 6.5,
@@ -646,17 +688,28 @@ def test_cli_solver_failure_exits_3_with_its_diagnostics(monkeypatch, capsys):
     assert err == "solver failure: bisection did not reach tolerance {'width': 0.5}\n"
 
 
-def test_cli_rejects_a_capacity_scale_the_solvers_would_overflow(tmp_path, capsys):
-    # base.json with every capacity quantity scaled by 1e154: cbar squared overflows
+def base_scaled(s):
+    """base.json with every capacity quantity scaled by ``s``."""
     data = json.loads((SCENARIOS / "base.json").read_text(encoding="utf-8"))
     sc = data["scenario"]
-    sc["d0"] *= 1e154
-    data["demand_per_prosumer"] *= 1e154
+    sc["d0"] *= s
+    data["demand_per_prosumer"] *= s
     for key in ("mu", "sigma", "cbar"):
         if key in sc["capacity"]:
-            sc["capacity"][key] *= 1e154
-    code = cli.main(["validate", write_scenario(tmp_path, data)])
+            sc["capacity"][key] *= s
+    return data
+
+
+def test_cli_rejects_a_capacity_scale_the_solvers_would_overflow(tmp_path, capsys):
+    # at 1e154, cbar squared overflows
+    code = cli.main(["validate", write_scenario(tmp_path, base_scaled(1e154))])
     assert_one_line_rejection(code, capsys, "cbar must be in [0, 1e+150]")
+
+
+def test_cli_rejects_a_capacity_scale_the_solvers_would_underflow(tmp_path, capsys):
+    # at 1e-160, cbar squared is subnormal
+    code = cli.main(["validate", write_scenario(tmp_path, base_scaled(1e-160))])
+    assert_one_line_rejection(code, capsys, "cbar must be 0 or at least 1e-150")
 
 
 def test_importing_the_package_leaves_the_cli_unbuilt():
