@@ -138,11 +138,13 @@ def inverse_supply_aggregated(p: UniformLinearParams, x_total):
 
 def inverse_supply_direct(p: UniformLinearParams, x):
     """Minimum price at which one prosumer sells ``x`` in the benchmark."""
-    s3 = p.half_width
+    s3, top = p.half_width, p.support[1]
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < -1e-12) or np.any(xa > p.mu + s3 + 1e-12):
+    # slack relative to the support top: the game has no unit of capacity, and
+    # the aggregated top 2X/N can round an ulp past it
+    if np.any(xa < -1e-12 * top) or np.any(xa > top * (1.0 + 1e-12)):
         warnings.warn(
-            f"prosumer quantity outside [0, {p.mu + s3:.6g}]; extrapolating",
+            f"prosumer quantity outside [0, {top:.6g}]; extrapolating",
             stacklevel=2,
         )
     out = p.lambda_rt * (xa - p.mu + s3) / (2.0 * s3) + p.gamma

@@ -70,6 +70,17 @@ def _intercept_and_slope(curve):
     return p0, (p1 - p0) / (q1 - q0)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("n", [3, 5])
+def test_affine_curves_read_their_top_at_any_capacity_scale(n, s):
+    # at N = 3 and s = 1e6 the aggregated top X = N*top/2 maps back to a 2X/N an ulp
+    # above top: no extrapolation, so no warning, which the suite makes an error
+    p = dg.UniformLinearParams(2.5, 10.0 * s, 3.749090909090909 * s, 4.0, 4.0, n)
+    tops = [build(p).breakpoints[-1]
+            for build in (dg.aggregated_affine_curve, dg.direct_affine_curve)]
+    assert [price for _, price in tops] == pytest.approx([6.5, 6.5], rel=1e-12)
+
+
 def test_affine_curve_slope_matches_closed_form():
     for n in (1, 3):
         p = fig5_params(n=n)
