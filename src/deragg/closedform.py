@@ -133,10 +133,11 @@ def inverse_supply_aggregated(p: UniformLinearParams, x_total):
     """Minimum wholesale price at which the aggregator, offering half the direct
     quantity at each price, sells ``x_total``: p_dir(2X/N), which extrapolates with
     its warning outside the effective range [0, N*(mu + sqrt(3)*sigma)/2]."""
-    return inverse_supply_direct(p, 2.0 * np.asarray(x_total, dtype=float) / p.n_prosumers)
+    x = 2.0 * np.asarray(x_total, dtype=float) / p.n_prosumers
+    return inverse_supply_direct(p, x, _stacklevel=3)  # warn at our caller's line
 
 
-def inverse_supply_direct(p: UniformLinearParams, x):
+def inverse_supply_direct(p: UniformLinearParams, x, _stacklevel=2):
     """Minimum price at which one prosumer sells ``x`` in the benchmark."""
     s3, top = p.half_width, p.support[1]
     xa = np.asarray(x, dtype=float)
@@ -145,7 +146,7 @@ def inverse_supply_direct(p: UniformLinearParams, x):
     if np.any(xa < -1e-12 * top) or np.any(xa > top * (1.0 + 1e-12)):
         warnings.warn(
             f"prosumer quantity outside [0, {top:.6g}]; extrapolating",
-            stacklevel=2,
+            stacklevel=_stacklevel,
         )
     out = p.lambda_rt * (xa - p.mu + s3) / (2.0 * s3) + p.gamma
     return out if out.ndim else float(out)

@@ -26,7 +26,9 @@ beta(x) = (x - E[C])+ / E[(x - C)+], and goes through the same search.
 Certain capacity is the same game without shortfall at x <= cbar, so
 rho(x) = E[u'(d0 + cbar - x)].  Each inverse response is one callable
 rho(x), taking one offer or (without h) an array of offers, with its price
-bounds; the forward responses x*(rho) (:func:`symmetric_follower_response`,
+bounds, so the leader's golden section prices each point it needs and
+every point its next three steps could visit in one call (one under h);
+the forward responses x*(rho) (:func:`symmetric_follower_response`,
 :func:`meanfield_solve`) are bisections of rho(x) = rho.  Its Monte-Carlo
 draws are sampled once per solve.  With a tabulated utility, the E[u']
 draws are sorted once and E[u'] at each offer, the price bounds' two
@@ -70,6 +72,7 @@ MAX_BISECT_ITER = 200
 _LEADER_TOL = 1e-9
 _FORWARD_TOL = 1e-12  # the bisection of rho(x) = rho in _InverseResponse.forward
 
+_LOOK_AHEAD = 3  # golden steps _offer_search prices ahead: 1 + 2 + 4 + 8 offers a rho call
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -332,6 +335,10 @@ class _InverseResponse:
             self.scenario, rho_min, x, draws=self.draws, seed=self.seed, _inverse=self
         )
 
+    def prices(self, xs: list[float]):
+        """rho at each of ``xs``: one numpy call, or per offer as read if :attr:`per_offer`."""
+        return map(self, xs) if self.per_offer else self(np.asarray(xs)).tolist()
+
     def offers(self, n: int) -> list[float]:
         """``n`` offers on [0, cbar] plus the support ends (the kinks of F)."""
         model = self.scenario.capacity
@@ -344,9 +351,8 @@ class _InverseResponse:
         indices of the offers on the lower convex hull of R.  Under :attr:`per_offer`
         the offers are priced one at a time, and none past that first one."""
         xs = self.offers(n)
-        priced = map(self, xs) if self.per_offer else self(np.asarray(xs)).tolist()
         rhos = []
-        for rho in priced:
+        for rho in self.prices(xs):
             rhos.append(rho)
             if rho > cap:
                 break
@@ -424,7 +430,8 @@ def _offer_search(inverse, grid_points):
     offer is the vertex of the lower convex hull of R(x) = x * rho(x) on
     the table that maximises lambda_da * x - R(x), the one whose adjacent
     edge slopes bracket lambda_da.  Golden section refines between the
-    offers on either side of it, one rho evaluation per step, to a bracket
+    offers on either side of it, one rho evaluation per ``_LOOK_AHEAD`` + 1
+    steps (per step under h, whose kernel takes one offer), to a bracket
     of ``_LEADER_TOL * cbar`` or of sqrt(eps) times the vertex, whichever
     is wider, fixed before the search so that the steps scale with
     capacity: the profit is flat to rounding over sqrt(eps) of the offer,
@@ -450,9 +457,10 @@ def _offer_search(inverse, grid_points):
     best = max(hull, key=lambda i: lambda_da * xs[i] - rs[i])
     rhos = {xs[best]: table[best]}  # rho at each offer the search prices, to post rho(x*)
 
-    def profit(x):
+    def profit(x, ahead):  # rho at x priced in one call with the offers ahead() lists
         if x not in rhos:
-            rhos[x] = inverse(x)
+            points = [x, *ahead()]
+            rhos.update(zip(points, inverse.prices(points)))
         return (lambda_da - rhos[x]) * n * x
 
     k = hull.index(best)
@@ -467,8 +475,9 @@ def _offer_search(inverse, grid_points):
     )
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     tol = max(_LEADER_TOL * scenario.capacity.cbar, _SQRT_EPS * xs[best])
-    x_ref, prof_ref, iters = _golden_max(profit, a, b, tol)
-    x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best]))], key=lambda c: c[1])[0]
+    depth = 0 if inverse.per_offer else _LOOK_AHEAD
+    x_ref, prof_ref, iters = _golden_max(profit, a, b, tol, depth)
+    x_star = max([(x_ref, prof_ref), (xs[best], profit(xs[best], list))], key=lambda c: c[1])[0]
     diag = SolverDiagnostics(len(xs), iters, concavity_ok, multiple_maxima)
     return x_star, rhos[x_star], diag
 
@@ -580,14 +589,20 @@ def _warn_if_off_band(scenario: GameScenario) -> None:
         )
 
 
-def _golden_max(fn, a, b, tol):
-    """Golden-section maximization on [a, b]; returns the best point seen."""
+def _golden_max(fn, a, b, tol, depth):
+    """Golden-section maximization on [a, b]; returns the best point seen.  ``fn(x, ahead)``
+    is the value at x; where it has to price x, it may price every point that ``ahead()``
+    lists, which the next ``depth`` steps could visit, in the same call."""
     if b - a <= tol:
         x = 0.5 * (a + b)
-        return x, fn(x), 0
+        return x, fn(x, list), 0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
+
+    def ahead():
+        return _golden_ahead(a, b, c, d, depth)
+
+    fc, fd = fn(c, lambda: [d, *ahead()]), fn(d, ahead)
     best_x, best_f = (c, fc) if fc >= fd else (d, fd)
     iters = 0
     while b - a > tol and iters < 200:
@@ -595,13 +610,22 @@ def _golden_max(fn, a, b, tol):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = fn(c)
+            fc = fn(c, ahead)
             if fc > best_f:
                 best_x, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = fn(d)
+            fd = fn(d, ahead)
             if fd > best_f:
                 best_x, best_f = d, fd
     return best_x, best_f, iters
+
+
+def _golden_ahead(a, b, c, d, depth):
+    """The points the next ``depth`` steps from [a, b], c < d, visit by the loop's expressions."""
+    if not depth:
+        return []
+    left, right = d - _INV_PHI * (d - a), c + _INV_PHI * (b - c)
+    return [left, right, *_golden_ahead(a, d, left, c, depth - 1),
+            *_golden_ahead(c, b, d, right, depth - 1)]

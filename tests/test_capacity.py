@@ -146,6 +146,15 @@ def test_sample_dependent_is_fully_dependent():
     assert np.all(caps[:, 0] == caps[:, 1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sample_dependent_equals_the_repeated_shared_draw(n):
+    # the shared draw tiled across the prosumers, bit for bit as np.repeat lays it out
+    m = dg.dependent_uniform(10.0, 3.3)
+    shared = dg.sample(m, 1, rng_seed=4, draws=1000)[:, 0]
+    assert np.array_equal(dg.sample(m, n, rng_seed=4, draws=1000),
+                          np.repeat(shared[:, None], n, axis=1))
+
+
 def test_sample_iid_moments():
     m = dg.iid_uniform(10.0, 3.3)
     caps = dg.sample(m, 1, rng_seed=2, draws=1_000_000)[:, 0]

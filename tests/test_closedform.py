@@ -104,6 +104,14 @@ def test_extrapolation_warns():
         dg.inverse_supply_direct(p, 100.0)
 
 
+@pytest.mark.parametrize("fn", [dg.inverse_supply_aggregated, dg.inverse_supply_direct])
+def test_extrapolation_warning_names_the_caller(fn):
+    # each caller's line gets its own warning under the once-per-location filter
+    with pytest.warns(UserWarning, match="extrapolating") as record:
+        fn(params(), 100.0)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_procurement_costs_fig5_values():
     c = dg.procurement_costs(params(), kappa=3.25, demand_per_prosumer=10.0)
     assert c.q_star == pytest.approx(6.4276, abs=1e-4)

@@ -16,7 +16,8 @@ from deragg.equilibrium import (
     partial_coverage_samples,
 )
 from deragg.penalty import MIN_DRAWS
-from deragg.scenario import load_scenario
+from deragg.scenario import load_scenario, parse_scenario
+from workloads import TABULATED_SCENARIO
 
 from conftest import (
     ROOT,
@@ -455,14 +456,16 @@ def _count_foc_calls(monkeypatch, scenario_file):
 
 
 def test_leader_evaluates_each_offer_once(monkeypatch):
-    # one FOC call prices the offer table, then one each for the golden
-    # section's two first points and its steps; the best vertex's profit
-    # and rho(x*) are read off what the search has already priced
+    # one FOC call prices the offer table; one more prices the golden
+    # section's two first points and every point its first three steps could
+    # visit, and each later one a step's point and the next three steps'.
+    # The best vertex's profit and rho(x*) are read off what is priced
     res, calls = _count_foc_calls(monkeypatch, "base.json")
     # of 257 offers (256 on [0, cbar] plus the support's low end), the table
     # stops at the first one above lambda_da = 4
     assert res.diagnostics.grid_points == 142
-    assert len(calls) == res.diagnostics.refine_iterations + 3
+    assert res.diagnostics.refine_iterations == 29
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("scenario_file,steps", [("base.json", 29), ("iid.json", 31)])
@@ -486,25 +489,23 @@ def test_iid_leader_evaluates_the_coverage_term_once_per_offer(monkeypatch):
     assert len(calls) == 100
 
 
-@pytest.mark.parametrize("case", [
-    "dependent", "deterministic", "tabulated", "deterministic-tabulated", "meanfield",
-    "meanfield-tabulated", "iid-n4",
-])
+INVERSE_KINDS = {
+    "dependent": lambda: _InverseResponse(make_scenario(), 2000, 7),
+    "deterministic": lambda: _InverseResponse(make_scenario(kind="deterministic"), 2000, 7),
+    "tabulated": lambda: _InverseResponse(_tabulated_scenario(), 20_000, 7),
+    "deterministic-tabulated": lambda: _InverseResponse(
+        _deterministic_tabulated_scenario(), 20_000, 7),
+    "meanfield": lambda: _MeanFieldInverse(make_scenario(kind="iid", n=4), 2000, 7),
+    "meanfield-tabulated": lambda: _MeanFieldInverse(_iid_tabulated_scenario(), 20_000, 7),
+    "iid-n4": lambda: _InverseResponse(make_scenario(kind="iid", n=4), 2000, 7),
+}
+
+
+@pytest.mark.parametrize("case", INVERSE_KINDS)
 def test_table_matches_the_scalar_inverse_response(case):
     # rho on an array of offers equals rho offer by offer bit for bit, off
     # the offer grid too, and the hull's outlays are x * rho(x)
-    iid4 = make_scenario(kind="iid", n=4)
-    build = {
-        "dependent": lambda: _InverseResponse(make_scenario(), 2000, 7),
-        "deterministic": lambda: _InverseResponse(make_scenario(kind="deterministic"), 2000, 7),
-        "tabulated": lambda: _InverseResponse(_tabulated_scenario(), 20_000, 7),
-        "deterministic-tabulated": lambda: _InverseResponse(
-            _deterministic_tabulated_scenario(), 20_000, 7),
-        "meanfield": lambda: _MeanFieldInverse(iid4, 2000, 7),
-        "meanfield-tabulated": lambda: _MeanFieldInverse(_iid_tabulated_scenario(), 20_000, 7),
-        "iid-n4": lambda: _InverseResponse(iid4, 2000, 7),
-    }[case]
-    inverse = build()
+    inverse = INVERSE_KINDS[case]()
     xs = inverse.offers(32) + np.linspace(0.0, inverse.scenario.capacity.cbar, 13)[1:-1].tolist()
     if inverse.per_offer:  # the coverage kernel takes one offer at a time
         with pytest.raises(dg.ValidationError, match="one offer at a time"):
@@ -516,6 +517,54 @@ def test_table_matches_the_scalar_inverse_response(case):
     assert rs == [x * rho for x, rho in zip(offers, rhos)]
     if case.startswith("meanfield"):
         assert "caps" not in vars(inverse)  # no coverage layout behind the mean field
+
+
+def _shipped_inverse(case):
+    """The inverse response and grid of a shipped scenario file or of the
+    benchmark's tabulated one; a ``-meanfield`` suffix builds the mean field."""
+    name, _, meanfield = case.partition("-")
+    if name == "bench.tabulated":
+        sf = parse_scenario(TABULATED_SCENARIO)
+    else:
+        sf = load_scenario(ROOT / "scenarios" / name)
+    cls = _MeanFieldInverse if meanfield else _InverseResponse
+    return cls(sf.scenario, sf.solver.draws, sf.solver.seed), sf.solver.rho_grid_points
+
+
+@pytest.mark.parametrize("case", [
+    *INVERSE_KINDS, "base.json", "deterministic.json", "iid.json", "iid.json-meanfield",
+    "bench.tabulated",
+])
+def test_golden_look_ahead_reads_the_plain_search_off_fewer_rho_calls(monkeypatch, case):
+    # the points the next steps could visit, priced in one call, are the
+    # points the plain golden section prices one at a time (look-ahead 0),
+    # and rho on an array equals rho offer by offer: the same search, with
+    # every lookup a hit.  The Monte-Carlo coverage kernel keeps one offer a call
+    def build():
+        return (INVERSE_KINDS[case](), 64) if case in INVERSE_KINDS else _shipped_inverse(case)
+
+    depth, (inverse, _) = dg.equilibrium._LOOK_AHEAD, build()
+    calls = []
+    real = type(inverse).__call__
+    monkeypatch.setattr(type(inverse), "__call__", lambda self, x: calls.append(x) or real(self, x))
+
+    def search(look_ahead):
+        monkeypatch.setattr(dg.equilibrium, "_LOOK_AHEAD", look_ahead)
+        calls.clear()
+        return dg.equilibrium._offer_search(*build()), len(calls)
+
+    (plain, plain_calls), (ahead, ahead_calls) = search(0), search(depth)
+    assert ahead == plain
+    iters = plain[2].refine_iterations
+    assert iters > depth
+    if inverse.per_offer:
+        assert ahead_calls == plain_calls
+        return
+    # the table, the first two points with the first look-ahead steps, then
+    # one call per look-ahead + 1 steps at most: a step may also find its
+    # point among those priced for another branch
+    assert plain_calls == 2 + iters
+    assert ahead_calls <= 2 + math.ceil((iters - depth) / (depth + 1)) < plain_calls
 
 
 @pytest.mark.parametrize("case", [
@@ -543,7 +592,8 @@ def test_leader_table_stops_at_the_first_offer_above_lambda_da(monkeypatch, case
     brackets = []
     real_golden = dg.equilibrium._golden_max
     monkeypatch.setattr(dg.equilibrium, "_golden_max",
-                        lambda fn, a, b, tol: brackets.append((a, b)) or real_golden(fn, a, b, tol))
+                        lambda fn, a, b, tol, depth:
+                        brackets.append((a, b)) or real_golden(fn, a, b, tol, depth))
 
     def solve(lambda_da):
         x, rho, diag = dg.equilibrium._offer_search(
